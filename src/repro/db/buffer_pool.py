@@ -34,6 +34,10 @@ class AccessResult:
     writeback_page: Optional[int]
 
 
+#: Every hit implies the same (no) disk work, so all hits share one result.
+_HIT = AccessResult(hit=True, read_page=None, writeback_page=None)
+
+
 @dataclass
 class BufferPoolStats:
     """Running counters for one buffer pool."""
@@ -100,7 +104,7 @@ class BufferPool:
             self.stats.hits += 1
             dirty = self._pages.pop(page_id) or write
             self._pages[page_id] = dirty
-            return AccessResult(hit=True, read_page=None, writeback_page=None)
+            return _HIT
 
         self.stats.misses += 1
         writeback: Optional[int] = None

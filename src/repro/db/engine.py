@@ -188,14 +188,15 @@ class DatabaseEngine:
         if txn.started_at is None:
             txn.started_at = self.env.now
 
-        is_writer = txn.write_count > 0
+        write_count = txn.write_count
+        is_writer = write_count > 0
         if is_writer:
             self._inflight_writes += 1
         try:
             for op in txn.operations:
                 yield from self._execute_operation(txn, op)
             if is_writer:
-                yield from self._commit(txn)
+                yield from self._commit(write_count)
         finally:
             if is_writer:
                 self._inflight_writes -= 1
@@ -221,20 +222,21 @@ class DatabaseEngine:
         return event
 
     def _execute_operation(self, txn: Transaction, op: Operation) -> Generator:
+        is_write = op.op_type.is_write
         cpu_cost = self.costs.cpu_per_op
-        if op.op_type.is_write:
+        if is_write:
             cpu_cost += self.costs.cpu_per_write
         yield from self.server.cpu.execute(cpu_cost)
 
         if op.op_type is OpType.SCAN:
             pages = self.layout.pages_of_scan(op.key, op.scan_length)
         else:
-            pages = [self.layout.page_of(op.key)]
+            pages = (self.layout.page_of(op.key),)
 
         for page_id in pages:
-            yield from self._access_page(txn, page_id, op.op_type.is_write)
+            yield from self._access_page(txn, page_id, is_write)
 
-        if op.op_type.is_write:
+        if is_write:
             self.binlog.append(
                 size=self.costs.log_bytes_per_write,
                 time=self.env.now,
@@ -256,7 +258,7 @@ class DatabaseEngine:
             yield from self.server.disk.read(PAGE_SIZE)
             txn.pages_read += 1
 
-    def _commit(self, txn: Transaction) -> Generator:
+    def _commit(self, write_count: int) -> Generator:
         """Group-commit log flush: a cached sequential write to the log file."""
         yield from self.server.disk.write(
             self.costs.commit_flush_bytes,
@@ -265,7 +267,7 @@ class DatabaseEngine:
             cached=True,
         )
         self.stats.log_flushes += 1
-        self.data_version += txn.write_count
+        self.data_version += write_count
 
     # -- background page cleaner -------------------------------------------------
 

@@ -902,6 +902,17 @@ class SlackerNode:
             yield proc
         except DeliveryError:
             self.stats.notify_failures += 1
+        except Interrupt:
+            # The waiter is going away but the send keeps running: count
+            # and defuse its failure here, or nothing would handle it and
+            # it would escape Environment.run.
+            proc.callbacks.append(self._orphaned_send_done)
+            raise
+
+    def _orphaned_send_done(self, proc: Event) -> None:
+        if not proc.ok and isinstance(proc.value, DeliveryError):
+            proc.defused()
+            self.stats.notify_failures += 1
 
     def _dispatch_loop(self):
         while True:

@@ -82,9 +82,13 @@ class Cpu:
 
     def execute(self, mean_seconds: float, priority: int = 0) -> Generator:
         """Process: occupy one core for a burst of roughly ``mean_seconds``."""
-        with self._cores.request(priority=priority) as grant:
+        cores = self._cores
+        grant = cores.request(priority)
+        try:
             yield grant
             burst = self.burst_time(mean_seconds)
             yield self.env.timeout(burst)
             self.stats.bursts += 1
             self.stats.busy_time += burst
+        finally:
+            cores.release(grant)

@@ -129,7 +129,7 @@ class Disk:
         priority: int = 0,
     ) -> Generator:
         """Process: read ``nbytes`` (queue on the arm, then transfer)."""
-        yield from self._access(
+        return self._access(
             nbytes, sequential, stream, is_write=False, cached=False, priority=priority
         )
 
@@ -147,7 +147,7 @@ class Disk:
         cache (used for group-commit log flushes): transfer time only,
         no arm movement.
         """
-        yield from self._access(
+        return self._access(
             nbytes, sequential, stream, is_write=True, cached=cached, priority=priority
         )
 
@@ -194,14 +194,20 @@ class Disk:
     ) -> Generator:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        queued_at = self.env.now
-        with self._arm.request(priority=priority) as grant:
+        env = self.env
+        queued_at = env.now
+        arm = self._arm
+        grant = arm.request(priority)
+        try:
             yield grant
-            self.stats.queue_time += self.env.now - queued_at
+            stats = self.stats
+            stats.queue_time += env.now - queued_at
             service = self._service(nbytes, sequential, stream, cached)
-            yield self.env.timeout(service)
-            self.stats.busy_time += service
+            yield env.timeout(service)
+            stats.busy_time += service
             self._count(nbytes, sequential, is_write, cached)
+        finally:
+            arm.release(grant)
 
     def _count(
         self, nbytes: int, sequential: bool, is_write: bool, cached: bool

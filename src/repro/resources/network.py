@@ -76,11 +76,15 @@ class NetworkLink:
         """Process: push ``nbytes`` through this link direction."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        with self._wire.request(priority=priority) as grant:
+        wire = self._wire
+        grant = wire.request(priority)
+        try:
             yield grant
             serialization = nbytes / self.params.bandwidth
             yield self.env.timeout(serialization)
             self.stats.busy_time += serialization
+        finally:
+            wire.release(grant)
         # Propagation happens off the wire (pipelined with later sends).
         if self.params.latency > 0:
             yield self.env.timeout(self.params.latency)

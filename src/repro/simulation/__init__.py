@@ -12,7 +12,6 @@ from .core import (
     Condition,
     Environment,
     Event,
-    HeapEnvironment,
     Interrupt,
     Process,
     SimulationError,
@@ -31,7 +30,6 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "HeapEnvironment",
     "Interrupt",
     "PeriodicTicker",
     "PriorityResource",

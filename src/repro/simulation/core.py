@@ -35,7 +35,6 @@ _heappop = heapq.heappop
 
 __all__ = [
     "Environment",
-    "HeapEnvironment",
     "Event",
     "Timeout",
     "Process",
@@ -399,10 +398,10 @@ class Environment:
     *is* sequence order for events sharing a (time, priority) key, the
     urgent heap is consulted before same-time normal buckets (priority
     0 < 1), and urgent arrivals preempt the remainder of a same-time
-    bucket exactly as a lower heap key would.  :class:`HeapEnvironment`
-    keeps the original scheduler verbatim, and
-    ``tests/test_calendar_queue.py`` replays experiment seeds through
-    both and asserts identical trajectories.
+    bucket exactly as a lower heap key would.  The original scheduler
+    is kept verbatim as a test oracle (``tests/reference_kernel.py``),
+    and ``tests/test_calendar_queue.py`` replays experiment seeds
+    through both and asserts identical trajectories.
     """
 
     __slots__ = (
@@ -715,103 +714,3 @@ class Environment:
     @staticmethod
     def _stop_callback(event: Event) -> None:
         raise StopSimulation()
-
-
-class HeapEnvironment(Environment):
-    """The original single-``heapq`` scheduler, kept verbatim.
-
-    Reference implementation for the calendar queue's A/B bit-identity
-    fixture: ``tests/test_calendar_queue.py`` replays the same seeds
-    through an :class:`Environment` and a :class:`HeapEnvironment` and
-    asserts identical trajectories.  Not used by any experiment path.
-    """
-
-    __slots__ = ("_heap_queue",)
-
-    def __init__(self, initial_time: float = 0.0):
-        super().__init__(initial_time)
-        self._heap_queue: list[tuple[float, int, int, Event]] = []
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """Create an event that triggers at absolute time ``when``."""
-        if when < self._now:
-            raise ValueError(f"when={when} is in the past (now={self._now})")
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        event.callbacks = []
-        event._value = value
-        event._ok = True
-        event._defused = False
-        event.delay = when - self._now
-        _heappush(self._heap_queue, (when, NORMAL, next(self._eid), event))
-        return event
-
-    def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        _heappush(
-            self._heap_queue, (self._now + delay, priority, next(self._eid), event)
-        )
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._heap_queue[0][0] if self._heap_queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._heap_queue:
-            raise SimulationError("no scheduled events")
-        time, _, _, event = _heappop(self._heap_queue)
-        self._now = time
-        self._processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            raise event._value
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the queue drains, a time is reached, or an event fires."""
-        stop_event: Optional[Event] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event._value
-            stop_event.callbacks.append(self._stop_callback)
-        else:
-            at = float(until)
-            if at < self._now:
-                raise ValueError(f"until={at} is in the past (now={self._now})")
-            stop_event = Event(self)
-            stop_event._ok = True
-            stop_event._value = None
-            self._schedule(stop_event, priority=URGENT, delay=at - self._now)
-            stop_event.callbacks.append(self._stop_callback)
-
-        queue = self._heap_queue
-        processed = 0
-        try:
-            while queue:
-                time, _, _, event = _heappop(queue)
-                self._now = time
-                processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-        except StopSimulation:
-            if isinstance(until, Event):
-                if until._ok:
-                    return until._value
-                raise until._value
-            return None
-        finally:
-            self._processed += processed
-        if isinstance(until, Event) and not until.processed:
-            raise SimulationError("run() queue drained before `until` event fired")
-        return None

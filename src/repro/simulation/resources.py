@@ -16,9 +16,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Optional
+from typing import Any
 
-from .core import Environment, Event
+from .core import _PENDING, Environment, Event
+
+#: Bound once at import: the grant/release cycle is on every
+#: operation's path (see :meth:`Resource.request`).
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_new_event = object.__new__
 
 __all__ = [
     "Resource",
@@ -32,19 +38,23 @@ __all__ = [
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
-    Usable as a context manager so the resource is always released:
+    Built by :meth:`Resource.request`; ``Request(resource, priority)``
+    is the same call.  Usable as a context manager so the resource is
+    always released:
 
     >>> with resource.request() as req:   # doctest: +SKIP
     ...     yield req
     ...     ...  # use the resource
     """
 
+    __slots__ = ("resource", "priority", "granted_at")
+
+    def __new__(cls, resource: "Resource", priority: int = 0) -> "Request":
+        return resource.request(priority)
+
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        self.granted_at: Optional[float] = None
-        resource._do_request(self)
+        # Fully built by Resource.request (reached through __new__).
+        pass
 
     def __enter__(self) -> "Request":
         return self
@@ -54,11 +64,17 @@ class Request(Event):
 
     def cancel(self) -> None:
         """Release the claim (granted) or withdraw it (still queued)."""
-        self.resource._do_release(self)
+        self.resource.release(self)
 
 
 class Resource:
-    """A capacity-limited resource with a FIFO request queue."""
+    """A capacity-limited resource with a FIFO request queue.
+
+    The queue is non-empty only while every unit is in use: a release
+    grants the head of the queue at once, and a request that finds a
+    free unit is granted on the spot.  That invariant is the fast path
+    — an uncontended request never touches the wait heap.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity <= 0:
@@ -80,20 +96,34 @@ class Resource:
         return len(self._queue)
 
     def request(self, priority: int = 0) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted."""
-        return Request(self, priority)
+        """Claim one unit of capacity; the returned event fires when granted.
+
+        A grant is scheduled at the current time, exactly where
+        ``succeed()`` would schedule it.
+        """
+        env = self.env
+        request = _new_event(Request)
+        request.env = env
+        request.callbacks = []
+        request._defused = False
+        request.resource = self
+        request.priority = priority
+        users = self.users
+        if len(users) < self.capacity:
+            users.append(request)
+            request.granted_at = env._now
+            request._ok = True
+            request._value = None
+            env._schedule(request)
+        else:
+            request.granted_at = None
+            request._ok = None
+            request._value = _PENDING
+            _heappush(self._queue, (priority, next(self._seq), request))
+        return request
 
     def release(self, request: Request) -> None:
-        """Release a granted request (alias usable without ``with``)."""
-        self._do_release(request)
-
-    # -- internals --------------------------------------------------------
-
-    def _do_request(self, request: Request) -> None:
-        heapq.heappush(self._queue, (request.priority, next(self._seq), request))
-        self._trigger()
-
-    def _do_release(self, request: Request) -> None:
+        """Release a granted request, or withdraw one still queued."""
         try:
             self.users.remove(request)
         except ValueError:
@@ -101,14 +131,22 @@ class Resource:
             self._queue = [entry for entry in self._queue if entry[2] is not request]
             heapq.heapify(self._queue)
             return
-        self._trigger()
+        if self._queue:
+            self._trigger()
+
+    # -- internals --------------------------------------------------------
 
     def _trigger(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            _, _, request = heapq.heappop(self._queue)
-            self.users.append(request)
-            request.granted_at = self.env.now
-            request.succeed()
+        env = self.env
+        queue = self._queue
+        users = self.users
+        while queue and len(users) < self.capacity:
+            request = _heappop(queue)[2]
+            users.append(request)
+            request.granted_at = env._now
+            request._ok = True
+            request._value = None
+            env._schedule(request)
 
 
 class PriorityResource(Resource):

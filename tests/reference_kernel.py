@@ -1,0 +1,220 @@
+"""Reference implementations kept only as test oracles.
+
+Each class here is a retired ``src/`` implementation, kept verbatim so
+A/B tests can replay the same workload through it and through the
+current fast path and demand identical trajectories:
+
+* :class:`HeapEnvironment` — the single-``heapq`` event scheduler the
+  calendar-queue :class:`~repro.simulation.core.Environment` replaced
+  (``tests/test_calendar_queue.py``);
+* :class:`Resource` / :class:`Request` — the capacity-limited resource
+  before its direct-grant fast path: every request pushed onto the
+  wait heap and popped back off, granted through ``succeed()``, and
+  released through the ``with`` protocol
+  (``tests/test_resource_fast_path.py``).
+
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from typing import Any, Optional
+
+from repro.simulation.core import (
+    NORMAL,
+    URGENT,
+    Environment,
+    Event,
+    SimulationError,
+    StopSimulation,
+    Timeout,
+)
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
+__all__ = ["HeapEnvironment", "Request", "Resource"]
+
+
+class HeapEnvironment(Environment):
+    """The original single-``heapq`` scheduler, kept verbatim.
+
+    Reference implementation for the calendar queue's A/B bit-identity
+    fixture: ``tests/test_calendar_queue.py`` replays the same seeds
+    through an :class:`Environment` and a :class:`HeapEnvironment` and
+    asserts identical trajectories.  Not used by any experiment path.
+    """
+
+    __slots__ = ("_heap_queue",)
+
+    def __init__(self, initial_time: float = 0.0):
+        super().__init__(initial_time)
+        self._heap_queue: list[tuple[float, int, int, Event]] = []
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """Create an event that triggers ``delay`` time units from now."""
+        return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at absolute time ``when``."""
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._defused = False
+        event.delay = when - self._now
+        _heappush(self._heap_queue, (when, NORMAL, next(self._eid), event))
+        return event
+
+    def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
+        _heappush(
+            self._heap_queue, (self._now + delay, priority, next(self._eid), event)
+        )
+
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if none remain."""
+        return self._heap_queue[0][0] if self._heap_queue else float("inf")
+
+    def step(self) -> None:
+        """Process the next scheduled event."""
+        if not self._heap_queue:
+            raise SimulationError("no scheduled events")
+        time, _, _, event = _heappop(self._heap_queue)
+        self._now = time
+        self._processed += 1
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if event._ok is False and not event._defused:
+            raise event._value
+
+    def run(self, until: Optional[float | Event] = None) -> Any:
+        """Run until the queue drains, a time is reached, or an event fires."""
+        stop_event: Optional[Event] = None
+        if until is None:
+            pass
+        elif isinstance(until, Event):
+            stop_event = until
+            if stop_event.processed:
+                return stop_event._value
+            stop_event.callbacks.append(self._stop_callback)
+        else:
+            at = float(until)
+            if at < self._now:
+                raise ValueError(f"until={at} is in the past (now={self._now})")
+            stop_event = Event(self)
+            stop_event._ok = True
+            stop_event._value = None
+            self._schedule(stop_event, priority=URGENT, delay=at - self._now)
+            stop_event.callbacks.append(self._stop_callback)
+
+        queue = self._heap_queue
+        processed = 0
+        try:
+            while queue:
+                time, _, _, event = _heappop(queue)
+                self._now = time
+                processed += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if event._ok is False and not event._defused:
+                    raise event._value
+        except StopSimulation:
+            if isinstance(until, Event):
+                if until._ok:
+                    return until._value
+                raise until._value
+            return None
+        finally:
+            self._processed += processed
+        if isinstance(until, Event) and not until.processed:
+            raise SimulationError("run() queue drained before `until` event fired")
+        return None
+
+
+class Request(Event):
+    """A pending or granted claim on a :class:`Resource`.
+
+    Usable as a context manager so the resource is always released:
+
+    >>> with resource.request() as req:   # doctest: +SKIP
+    ...     yield req
+    ...     ...  # use the resource
+    """
+
+    def __init__(self, resource: "Resource", priority: int = 0):
+        super().__init__(resource.env)
+        self.resource = resource
+        self.priority = priority
+        self.granted_at: Optional[float] = None
+        resource._do_request(self)
+
+    def __enter__(self) -> "Request":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.cancel()
+
+    def cancel(self) -> None:
+        """Release the claim (granted) or withdraw it (still queued)."""
+        self.resource._do_release(self)
+
+
+class Resource:
+    """A capacity-limited resource with a FIFO request queue."""
+
+    def __init__(self, env: Environment, capacity: int = 1):
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        self.users: list[Request] = []
+        self._queue: list[tuple[int, int, Request]] = []
+        self._seq = itertools.count()
+
+    @property
+    def count(self) -> int:
+        """Number of granted (in-use) requests."""
+        return len(self.users)
+
+    @property
+    def queue_length(self) -> int:
+        """Number of requests waiting for capacity."""
+        return len(self._queue)
+
+    def request(self, priority: int = 0) -> Request:
+        """Claim one unit of capacity; the returned event fires when granted."""
+        return Request(self, priority)
+
+    def release(self, request: Request) -> None:
+        """Release a granted request (alias usable without ``with``)."""
+        self._do_release(request)
+
+    # -- internals --------------------------------------------------------
+
+    def _do_request(self, request: Request) -> None:
+        heapq.heappush(self._queue, (request.priority, next(self._seq), request))
+        self._trigger()
+
+    def _do_release(self, request: Request) -> None:
+        try:
+            self.users.remove(request)
+        except ValueError:
+            # Not granted yet: withdraw from the wait queue instead.
+            self._queue = [entry for entry in self._queue if entry[2] is not request]
+            heapq.heapify(self._queue)
+            return
+        self._trigger()
+
+    def _trigger(self) -> None:
+        while self._queue and len(self.users) < self.capacity:
+            _, _, request = heapq.heappop(self._queue)
+            self.users.append(request)
+            request.granted_at = self.env.now
+            request.succeed()

@@ -3,8 +3,8 @@
 The calendar-queue :class:`~repro.simulation.core.Environment` exists
 purely as a faster implementation of the same event ordering contract
 — (time, priority, sequence), urgent before normal, FIFO within a
-tick.  :class:`~repro.simulation.core.HeapEnvironment` is the retired
-heapq kernel, kept exactly so these tests can replay identical
+tick.  ``HeapEnvironment`` (``tests/reference_kernel.py``) is the
+retired heapq kernel, kept exactly so these tests can replay identical
 workloads through both and demand identical trajectories.
 
 Two layers of evidence:
@@ -31,7 +31,9 @@ from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
 from repro.parallel.tasks import single_tenant_point
 from repro.resources.units import mb_per_sec
-from repro.simulation import Environment, HeapEnvironment
+from repro.simulation import Environment
+
+from reference_kernel import HeapEnvironment
 
 KERNELS = (Environment, HeapEnvironment)
 

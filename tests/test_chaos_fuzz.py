@@ -130,6 +130,22 @@ class TestFuzzRuns:
         } == {label: r.fingerprint for label, r in parallel.items()}
 
 
+class TestOrphanedSends:
+    """A send whose waiter is interrupted (the lease-renew loop stopped
+    by "migration finished") runs on alone; if it then gives up, its
+    DeliveryError must be counted, not escape ``Environment.run``."""
+
+    @pytest.mark.parametrize(
+        ("schedule", "fluid_chunks"), [(195, 0), (320, 8)], ids=["live", "fluid"]
+    )
+    def test_schedule_finishes(self, schedule, fluid_chunks):
+        [point] = fuzz_points(
+            1, first_schedule=schedule, fluid_chunks=fluid_chunks
+        )
+        record = fuzz_point(point.config, point.spec, **point.kwargs)
+        assert record.ok, record.violations
+
+
 class TestBrokenFencingSelfTest:
     """The acceptance gate: a deliberately broken fencing check must be
     caught by the invariant suite and shrunk to a minimized reproducer."""
