@@ -33,10 +33,10 @@ def main() -> None:
     result = slacker.migrate(1, "db-02", setpoint=1.0)
 
     print(f"\nmigration finished in {result.duration:.1f} s")
-    print(f"  snapshot:      {result.snapshot_bytes / MB:.0f} MB "
-          f"in {result.snapshot_seconds:.1f} s")
-    print(f"  delta rounds:  {len(result.delta_rounds)} "
-          f"({result.delta_bytes / 1024:.0f} KB shipped)")
+    print(f"  snapshot:      {result.snapshot_bytes / MB:.0f} MB")
+    delta_bytes = result.total_bytes - result.snapshot_bytes
+    print(f"  delta rounds:  {result.delta_rounds} "
+          f"({delta_bytes / 1024:.0f} KB shipped)")
     print(f"  average speed: {result.average_rate / MB:.1f} MB/s")
     print(f"  downtime:      {result.downtime * 1000:.0f} ms "
           f"(freeze-and-handover window)")

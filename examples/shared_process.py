@@ -95,8 +95,8 @@ def main() -> None:
     result = env.run(until=env.process(migration.run()))
     throttle.stop()
     print(f"  snapshot {result.snapshot_bytes / MB:.0f} MB (tenant 2's "
-          f"tablespace only), deltas {result.delta_bytes} B in "
-          f"{len(result.delta_rounds)} rounds, "
+          f"tablespace only), deltas {result.total_bytes - result.snapshot_bytes} B "
+          f"in {result.delta_rounds} rounds, "
           f"downtime {result.downtime * 1000:.0f} ms")
     print(f"  tenant 2 now runs in its own daemon: {result.target.name}")
 

@@ -40,7 +40,8 @@ from .core.config import (
 )
 from .core.sla import LatencySla, SlaMonitor
 from .core.slacker import Slacker
-from .migration.live import LiveMigration, LiveMigrationResult, MigrationPhase
+from .migration.live import LiveMigration, MigrationPhase
+from .migration.result import MigrationResult
 from .migration.throttle import Throttle
 
 __version__ = "1.0.0"
@@ -51,8 +52,8 @@ __all__ = [
     "ExperimentConfig",
     "LatencySla",
     "LiveMigration",
-    "LiveMigrationResult",
     "MigrationPhase",
+    "MigrationResult",
     "Slacker",
     "SlaMonitor",
     "TenantConfig",

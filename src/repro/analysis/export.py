@@ -61,22 +61,20 @@ def _clean(value: Any) -> Any:
 def outcome_to_dict(outcome) -> dict:
     """A JSON-ready summary of an :class:`ExperimentOutcome`."""
     migration: Optional[dict] = None
-    if outcome.migration is not None:
-        result = outcome.migration
+    result = outcome.migration
+    if result is not None:
         migration = {
+            "kind": result.kind,
             "duration_s": _clean(result.duration),
             "downtime_s": _clean(result.downtime),
+            "total_bytes": result.total_bytes,
+            "average_rate_bytes_per_s": _clean(result.average_rate),
+            "snapshot_bytes": result.snapshot_bytes,
+            "delta_rounds": result.delta_rounds,
+            "num_chunks": result.num_chunks,
+            "total_freeze_time_s": _clean(result.total_freeze_time),
+            "remote_fetches": result.remote_fetches,
         }
-        for attr, key in (
-            ("total_bytes", "total_bytes"),
-            ("bytes_copied", "total_bytes"),
-            ("average_rate", "average_rate_bytes_per_s"),
-            ("snapshot_seconds", "snapshot_seconds"),
-        ):
-            if hasattr(result, attr):
-                migration[key] = _clean(getattr(result, attr))
-        if hasattr(result, "delta_rounds"):
-            migration["delta_rounds"] = len(result.delta_rounds)
     return {
         "spec": {
             "kind": outcome.spec.kind,

@@ -22,7 +22,7 @@ from ..middleware.cluster import SlackerCluster
 from ..middleware.node import NodeConfig
 from ..analysis.report import Table, format_ms
 from ..middleware.tenant import Tenant
-from ..migration.live import LiveMigrationResult
+from ..migration.result import MigrationResult
 from ..simulation import Environment, RandomStreams, Series, Trace
 from ..workload.client import BenchmarkClient
 from .config import EVALUATION, ExperimentConfig
@@ -189,7 +189,7 @@ class Slacker:
         target: str,
         setpoint: Optional[float] = None,
         fixed_rate: Optional[float] = None,
-    ) -> LiveMigrationResult:
+    ) -> MigrationResult:
         """Migrate a tenant (blocking: runs the simulation to completion).
 
         Give ``setpoint`` (seconds) for a PID-managed dynamic throttle,

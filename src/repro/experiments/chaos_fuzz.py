@@ -39,6 +39,7 @@ from typing import Optional
 
 from ..core.config import CASE_STUDY, ExperimentConfig
 from ..faults import FaultInjector
+from ..faults.invariants import check_invariants, plan_from_kwargs
 from ..middleware.transport import RetryPolicy
 from ..obs import Observability
 from ..parallel import SweepPoint, SweepRunner
@@ -46,7 +47,6 @@ from ..placement.budget import SlackBudgetLedger
 from ..placement.executor import WaveExecutor
 from ..placement.policy import MigrationProposal
 from ..simulation import RandomStreams, Trace
-from .chaos_sweep import _check_invariants, _plan_from_kwargs
 from .common import scaled_config
 from .harness import _build_cluster, attach_workload
 
@@ -245,7 +245,7 @@ def fuzz_point(
     fluid chunked path instead of live, adding the exactly-once
     chunk-ownership battery to the checked invariants.
     """
-    plan = _plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
+    plan = plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
     streams = RandomStreams(config.seed)
     cluster = _build_cluster(
         config, streams, retry_policy=RetryPolicy(), lease_ttl=lease_ttl
@@ -307,7 +307,7 @@ def fuzz_point(
     client.stop()
 
     fluid_migration = source.last_fluid_migration if fluid_chunks else None
-    violations = _check_invariants(
+    violations = check_invariants(
         outcome, cluster, tenant, source_engine, client, trace,
         # A wedged run is mid-flight by definition; the fluid battery's
         # terminal-state checks only apply once the migration resolved.

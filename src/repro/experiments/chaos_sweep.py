@@ -38,16 +38,8 @@ from typing import Optional
 
 from ..analysis.report import Table, format_ms
 from ..core.config import CASE_STUDY, ExperimentConfig
-from ..db.engine import EngineState
-from ..faults import (
-    FaultInjector,
-    FaultPlan,
-    MessageFaults,
-    PartitionFault,
-    ScheduledFault,
-)
-from ..middleware.tenant import TenantStatus
-from ..migration.fluid import check_fluid_invariants
+from ..faults import FaultInjector
+from ..faults.invariants import check_invariants, plan_from_kwargs
 from ..migration.live import MigrationAborted
 from ..obs import Observability, RunReport
 from ..parallel import SweepPoint, SweepRunner
@@ -99,16 +91,6 @@ class ChaosRecord:
         raise KeyError(name)
 
 
-def _plan_from_kwargs(
-    messages: Optional[dict], scheduled: tuple, partitions: tuple = ()
-) -> FaultPlan:
-    return FaultPlan(
-        messages=MessageFaults(**messages) if messages else MessageFaults(),
-        scheduled=tuple(ScheduledFault(**dict(s)) for s in scheduled),
-        partitions=tuple(PartitionFault(**dict(p)) for p in partitions),
-    )
-
-
 def chaos_point(
     config: ExperimentConfig,
     spec: MigrationSpec,
@@ -136,7 +118,7 @@ def chaos_point(
     observability runtime and fills ``record.report`` — without
     changing the fingerprint, since observation is read-only.
     """
-    plan = _plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
+    plan = plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
     streams = RandomStreams(config.seed)
     cluster = _build_cluster(
         config, streams, retry_policy=RetryPolicy(), lease_ttl=lease_ttl
@@ -163,7 +145,7 @@ def chaos_point(
     def driver():
         yield env.timeout(warmup)
         try:
-            yield env.process(_run_migration_spec(cluster, spec, 1, config))
+            yield env.process(_run_migration_spec(cluster, spec, 1))
         except MigrationAborted as exc:
             return ("aborted", str(exc))
         return ("completed", "")
@@ -179,7 +161,7 @@ def chaos_point(
         outcome, abort_reason = "wedged", ""
     client.stop()
 
-    violations = _check_invariants(
+    violations = check_invariants(
         outcome, cluster, tenant, source_engine, client, trace
     )
 
@@ -228,77 +210,6 @@ def chaos_point(
         sim_end=env.now,
         report=obs.run_report(config, spec) if obs is not None else None,
     )
-
-
-def _check_invariants(
-    outcome: str, cluster, tenant, source_engine, client, trace,
-    fluid_migration=None,
-) -> list[str]:
-    violations: list[str] = []
-    if outcome == "wedged":
-        violations.append("migration neither completed nor aborted (wedged)")
-
-    census = cluster.tenant_census()
-    hosts = census.get(1, [])
-    if len(hosts) != 1:
-        violations.append(f"tenant 1 hosted on {hosts!r}, expected exactly one node")
-    located = cluster.locate(1)
-    if hosts and located != hosts[0]:
-        violations.append(
-            f"frontend says tenant 1 is on {located!r}, registry says {hosts[0]!r}"
-        )
-
-    if outcome == "completed":
-        if hosts != ["target"]:
-            violations.append(f"completed migration left tenant on {hosts!r}")
-        if source_engine.state is not EngineState.STOPPED:
-            violations.append(
-                f"completed migration left source engine {source_engine.state}"
-            )
-        elif source_engine.successor is None:
-            violations.append("stopped source engine has no successor wired")
-    elif outcome == "aborted":
-        if hosts != ["source"]:
-            violations.append(f"aborted migration left tenant on {hosts!r}")
-        if tenant.status is not TenantStatus.ACTIVE:
-            violations.append(f"aborted migration left tenant status {tenant.status}")
-        if source_engine.state is not EngineState.RUNNING:
-            violations.append(
-                f"aborted migration left source engine {source_engine.state}"
-            )
-    if source_engine.is_frozen:
-        violations.append("source engine left frozen")
-
-    samples = len(trace.series("tenant-1"))
-    if samples != client.stats.completed:
-        violations.append(
-            f"latency accounting mismatch: {samples} samples, "
-            f"{client.stats.completed} completions"
-        )
-
-    manager = cluster.lease_manager
-    if manager is not None:
-        # No handover may ever commit under an expired or superseded
-        # lease — the controller's audit log is ground truth.
-        for record in manager.commit_log:
-            if not record.valid:
-                violations.append(
-                    f"handover committed under invalid lease token "
-                    f"{record.token} for tenant {record.tenant_id} "
-                    f"at t={record.at:g}"
-                )
-        held = manager.outstanding()
-        if held:
-            violations.append(
-                f"leases still held after terminal state: {held}"
-            )
-
-    if fluid_migration is not None:
-        # Chunked handover adds its own surface: every chunk owned
-        # exactly once, no page ever served by a non-owner, write
-        # accounting conserved across the dual-resident window.
-        violations.extend(check_fluid_invariants(fluid_migration))
-    return violations
 
 
 # -- the sweep ----------------------------------------------------------------

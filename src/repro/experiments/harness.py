@@ -21,14 +21,7 @@ from typing import Callable, Optional, Sequence
 from ..core.config import ExperimentConfig
 from ..middleware.cluster import SlackerCluster
 from ..middleware.node import NodeConfig
-from ..migration.live import LiveMigrationResult
-from ..migration.on_demand import OnDemandMigration
-from ..migration.stop_and_copy import (
-    DumpReimportMigration,
-    StopAndCopyMigration,
-    StopAndCopyResult,
-)
-from ..migration.throttle import Throttle
+from ..migration.result import MigrationResult
 from ..obs import Observability, RunReport
 from ..simulation import Environment, RandomStreams, Series, Trace
 from ..workload.client import BenchmarkClient
@@ -63,8 +56,9 @@ class MigrationSpec:
     #: "none", "fixed", "dynamic", "stop-and-copy", "dump-reimport",
     #: "fluid", or "on-demand".
     kind: str = "none"
-    #: Fixed throttle rate, bytes/second (kind="fixed"/"stop-and-copy"/
-    #: "fluid"; for "on-demand" it meters the background push).
+    #: Fixed throttle rate, bytes/second (kind="fixed"/"fluid"; for
+    #: "on-demand" it meters the background push).  The stop-and-copy
+    #: kinds copy at full speed and ignore it.
     rate: Optional[float] = None
     #: Latency setpoint, seconds (kind="dynamic").
     setpoint: Optional[float] = None
@@ -93,6 +87,11 @@ class MigrationSpec:
             raise ValueError("fluid migration needs a positive rate")
         if self.kind == "on-demand" and self.rate is not None and self.rate <= 0:
             raise ValueError("on-demand push rate must be positive when set")
+
+    @property
+    def method(self) -> str:
+        """The :meth:`SlackerNode.migrate_tenant` method this kind runs."""
+        return "live" if self.kind in ("fixed", "dynamic") else self.kind
 
     @classmethod
     def none(cls) -> "MigrationSpec":
@@ -220,7 +219,7 @@ class ExperimentOutcome(PooledLatencyStats):
     #: configured duration for baseline runs.
     window_start: float
     window_end: float
-    migration: Optional[LiveMigrationResult | StopAndCopyResult] = None
+    migration: Optional[MigrationResult] = None
     #: Throttle-rate series recorded by the PID loop (dynamic runs).
     throttle_series: Optional[Series] = None
     controller_latency_series: Optional[Series] = None
@@ -231,11 +230,7 @@ class ExperimentOutcome(PooledLatencyStats):
     @property
     def average_migration_rate(self) -> float:
         """Mean transfer rate over the migration, bytes/second."""
-        if self.migration is None:
-            return 0.0
-        if isinstance(self.migration, StopAndCopyResult):
-            return self.migration.bytes_copied / max(self.migration.duration, 1e-9)
-        return self.migration.average_rate
+        return self.migration.average_rate if self.migration is not None else 0.0
 
 
 def _make_chooser(kind: str, num_rows: int, rng):
@@ -322,69 +317,17 @@ def attach_workload(
     return client, arrivals
 
 
-def _run_migration_spec(cluster, spec, tenant_id, config):
+def _run_migration_spec(cluster, spec: MigrationSpec, tenant_id: int):
     """Process: run the configured migration through the source node."""
-    source = cluster.node("source")
-    if spec.kind == "fixed":
-        result = yield cluster.env.process(
-            source.migrate_tenant(tenant_id, "target", fixed_rate=spec.rate)
-        )
-        return result
-    if spec.kind == "dynamic":
-        result = yield cluster.env.process(
-            source.migrate_tenant(
-                tenant_id,
-                "target",
-                setpoint=spec.setpoint,
-                max_rate=spec.max_rate or config.max_migration_rate,
-            )
-        )
-        return result
-    if spec.kind == "fluid":
-        result = yield cluster.env.process(
-            source.migrate_tenant(
-                tenant_id,
-                "target",
-                fixed_rate=spec.rate,
-                chunks=spec.chunks or 16,
-            )
-        )
-        return result
-    if spec.kind == "on-demand":
-        tenant = source.registry.get(tenant_id)
-        throttle = (
-            Throttle(cluster.env, rate=spec.rate) if spec.rate else None
-        )
-        migration = OnDemandMigration(
-            cluster.env,
-            tenant.engine,
-            cluster.node("target").server,
-            push_throttle=throttle,
-            on_switch=lambda target: setattr(tenant, "engine", target),
-        )
-        try:
-            result = yield cluster.env.process(migration.run())
-        finally:
-            if throttle is not None:
-                throttle.stop()
-        return result
-    if spec.kind in ("stop-and-copy", "dump-reimport"):
-        tenant = source.registry.get(tenant_id)
-        cls = (
-            StopAndCopyMigration
-            if spec.kind == "stop-and-copy"
-            else DumpReimportMigration
-        )
-        migration = cls(
-            cluster.env,
-            tenant.engine,
-            cluster.node("target").server,
-            chunk_bytes=config.chunk_bytes,
-        )
-        result = yield cluster.env.process(migration.run())
-        tenant.engine = result.target
-        return result
-    raise ValueError(f"no migration to run for kind {spec.kind!r}")
+    return cluster.node("source").migrate_tenant(
+        tenant_id,
+        "target",
+        setpoint=spec.setpoint,
+        fixed_rate=spec.rate,
+        max_rate=spec.max_rate,
+        chunks=spec.chunks or None,
+        method=spec.method,
+    )
 
 
 def run_single_tenant(
@@ -450,7 +393,7 @@ def run_single_tenant(
             yield env.timeout(baseline_duration)
         else:
             migration_result = yield env.process(
-                _run_migration_spec(cluster, spec, 1, config)
+                _run_migration_spec(cluster, spec, 1)
             )
         window_end = env.now
         if cooldown > 0:
@@ -577,7 +520,7 @@ def run_multi_tenant(
             yield env.timeout(baseline_duration)
         else:
             migration_result = yield env.process(
-                _run_migration_spec(cluster, spec, migrate_tenant_id, config)
+                _run_migration_spec(cluster, spec, migrate_tenant_id)
             )
         window_end = env.now
         if cooldown > 0:

@@ -48,8 +48,11 @@ from ..control.window import DEFAULT_WINDOW, LatencyWindow
 from ..db.engine import DatabaseEngine
 from ..db.pages import TableLayout
 from ..migration.controller import ControllerConfig, DynamicThrottleController
-from ..migration.fluid import FluidMigration
-from ..migration.live import LiveMigration, LiveMigrationResult, MigrationAborted
+from ..migration.fluid import DEFAULT_NUM_CHUNKS, FluidMigration
+from ..migration.live import LiveMigration, MigrationAborted
+from ..migration.on_demand import OnDemandMigration
+from ..migration.result import MigrationResult
+from ..migration.stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from ..migration.throttle import Throttle
 from ..resources.server import Server
 from ..resources.units import MB
@@ -73,7 +76,13 @@ from .protocol import (
 from .tenant import Tenant, TenantRegistry, TenantStatus
 from .transport import DeliveryError, MessageBus
 
-__all__ = ["NodeConfig", "SlackerNode"]
+__all__ = ["MIGRATION_METHODS", "NodeConfig", "SlackerNode"]
+
+#: Data planes :meth:`SlackerNode.migrate_tenant` can run.
+MIGRATION_METHODS = ("live", "fluid", "on-demand", "stop-and-copy", "dump-reimport")
+
+#: Methods that copy at full speed: they ignore any rate asked of them.
+_FULL_SPEED_METHODS = ("stop-and-copy", "dump-reimport")
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ class NodeStats:
     lease_expired_aborts: int = 0
     #: Protocol frames rejected for carrying a stale fencing token.
     stale_tokens_rejected: int = 0
-    completed: list[LiveMigrationResult] = field(default_factory=list)
+    completed: list[MigrationResult] = field(default_factory=list)
 
 
 class SlackerNode:
@@ -207,9 +216,9 @@ class SlackerNode:
         #: tenant_id -> fencing token of this node's in-flight
         #: outgoing migration.
         self._lease_tokens: dict[int, int] = {}
-        #: tenant_id -> in-flight *outgoing* LiveMigration (or
-        #: FluidMigration — same abort/target_server surface).
-        self.active_migrations: dict[int, LiveMigration] = {}
+        #: tenant_id -> in-flight *outgoing* migration engine (any
+        #: method: all share the try_abort/target_server surface).
+        self.active_migrations: dict[int, object] = {}
         #: Most recent outgoing FluidMigration (kept past completion so
         #: chaos harnesses can audit its chunk-ownership invariants).
         self.last_fluid_migration: Optional[FluidMigration] = None
@@ -340,23 +349,43 @@ class SlackerNode:
         fixed_rate: Optional[float] = None,
         max_rate: Optional[float] = None,
         chunks: Optional[int] = None,
+        method: str = "live",
     ):
         """Process: migrate a tenant to the named peer node.
 
-        Exactly one of ``setpoint`` (dynamic PID throttle, seconds) or
-        ``fixed_rate`` (bytes/second) must be given.  With ``chunks``
-        set the data plane is a :class:`FluidMigration` (per-chunk
-        handovers, dual-resident routing) instead of a single-handover
-        :class:`LiveMigration`.  Returns the migration result; raises
+        ``method`` picks the data plane (:data:`MIGRATION_METHODS`):
+        ``"live"`` (snapshot, delta rounds, one freeze), ``"fluid"``
+        (per-chunk handovers with dual-resident routing, ``chunks``
+        chunks), ``"on-demand"`` (switch at once, pull pages on
+        demand), ``"stop-and-copy"`` or ``"dump-reimport"``.  Whichever
+        runs, this node owns the lease, the accept round trip, the
+        throttle and PID loop, the frontend update, aborts and the
+        completion report.
+
+        ``setpoint`` (dynamic PID throttle, seconds) or ``fixed_rate``
+        (bytes/second) meters the engine's throttle.  Live and fluid
+        need exactly one; on-demand, which may take one for its
+        background push, runs unthrottled without.  Stop-and-copy and
+        dump-reimport copy at full speed and ignore both.
+        Returns the :class:`MigrationResult`; raises
         :class:`MigrationAborted` when the migration is cancelled
         (undeliverable request, accept timeout, dead target, injected
         abort, ...), in which case the tenant is back to plain
         ``ACTIVE`` at the source.
         """
-        if (setpoint is None) == (fixed_rate is None):
+        if method not in MIGRATION_METHODS:
+            raise ValueError(
+                f"method must be one of {MIGRATION_METHODS}, got {method!r}"
+            )
+        if setpoint is not None and fixed_rate is not None:
+            raise ValueError("give at most one of setpoint or fixed_rate")
+        if setpoint is None and fixed_rate is None and method in ("live", "fluid"):
             raise ValueError("give exactly one of setpoint or fixed_rate")
         if chunks is not None and chunks < 1:
             raise ValueError(f"chunks must be >= 1, got {chunks}")
+        if method in _FULL_SPEED_METHODS:
+            setpoint = fixed_rate = None
+        chunks = (chunks or DEFAULT_NUM_CHUNKS) if method == "fluid" else 0
         if not self.alive:
             raise RuntimeError(f"node {self.name} is down")
         tenant = self.registry.get(tenant_id)
@@ -390,7 +419,7 @@ class SlackerNode:
             setpoint=setpoint or 0.0,
             fixed_rate=fixed_rate or 0.0,
             token=token,
-            chunks=chunks or 0,
+            chunks=chunks,
         )
         try:
             yield self.env.process(self.endpoint.send(target, request))
@@ -416,15 +445,21 @@ class SlackerNode:
                 tenant, f"{target} refused migrate request (stale fencing token)"
             )
 
-        # Data plane: throttled live migration.  The fence gate runs on
-        # this node's *local* lease knowledge immediately before the
-        # handover point of no return.
+        # Data plane.  The fence gate runs on this node's *local* lease
+        # knowledge immediately before the engine's point of no return.
         fence = None
         if self.lease_manager is not None and self.fencing_enabled:
             fence = lambda: self.env.now < self._lease_expiry.get(tenant_id, 0.0)
-        throttle = Throttle(self.env, rate=fixed_rate or 0.0)
+        throttle = None
+        if setpoint is not None or fixed_rate is not None:
+            throttle = Throttle(self.env, rate=fixed_rate or 0.0)
         source_engine = tenant.engine
-        if chunks:
+        hooks = dict(
+            on_handover=lambda engine: self._handover(tenant, peer, engine),
+            fence=fence,
+            obs=self.obs,
+        )
+        if method == "fluid":
             migration = FluidMigration(
                 self.env,
                 source_engine,
@@ -432,10 +467,8 @@ class SlackerNode:
                 throttle,
                 num_chunks=chunks,
                 chunk_bytes=self.config.chunk_bytes,
-                on_handover=lambda engine: self._handover(tenant, peer, engine),
-                fence=fence,
                 token=token,
-                obs=self.obs,
+                **hooks,
             )
             migration.on_chunk_flip = self._chunk_flip_notifier(
                 migration, tenant_id, target, token
@@ -444,16 +477,23 @@ class SlackerNode:
             # Dual-resident window opens: requests route per chunk.
             tenant.engine = migration.router
             self.frontend.begin_chunked(tenant_id, migration.num_chunks, self.name)
+        elif method == "on-demand":
+            migration = OnDemandMigration(
+                self.env, source_engine, peer.server, throttle, **hooks
+            )
         else:
-            migration = LiveMigration(
+            engine_cls = {
+                "live": LiveMigration,
+                "stop-and-copy": StopAndCopyMigration,
+                "dump-reimport": DumpReimportMigration,
+            }[method]
+            migration = engine_cls(
                 self.env,
                 source_engine,
                 peer.server,
                 throttle,
                 chunk_bytes=self.config.chunk_bytes,
-                on_handover=lambda engine: self._handover(tenant, peer, engine),
-                fence=fence,
-                obs=self.obs,
+                **hooks,
             )
         self.active_migrations[tenant_id] = migration
         migration_proc = self.env.process(migration.run())
@@ -508,14 +548,14 @@ class SlackerNode:
 
         try:
             result = yield migration_proc
-            if chunks:
+            if method == "fluid":
                 # Single-homed again: the handover installed the target
                 # engine; the per-chunk directory window closes.
                 self.frontend.end_chunked(tenant_id)
         except MigrationAborted:
             # The migration rolled the engines back; restore the
             # control-plane view: the tenant is plain ACTIVE here.
-            if chunks:
+            if method == "fluid":
                 if tenant.engine is migration.router:
                     tenant.engine = source_engine
                 self.frontend.end_chunked(tenant_id)
@@ -525,7 +565,8 @@ class SlackerNode:
             raise
         finally:
             self.active_migrations.pop(tenant_id, None)
-            throttle.stop()
+            if throttle is not None:
+                throttle.stop()
             if controller is not None:
                 controller.stop()
             if renew_proc is not None and renew_proc.is_alive:
@@ -654,14 +695,18 @@ class SlackerNode:
                 yield env.timeout(period)  # slackerlint: disable=SLK011
                 if not self.alive or tenant_id not in self.active_migrations:
                     return
-                if self.fencing_enabled and env.now >= self._lease_expiry.get(
-                    tenant_id, 0.0
-                ):
-                    self.stats.lease_expired_aborts += 1
-                    migration.try_abort(
+                if (
+                    self.fencing_enabled
+                    and env.now >= self._lease_expiry.get(tenant_id, 0.0)
+                    and migration.try_abort(
                         f"ownership lease for tenant {tenant_id} expired"
                     )
+                ):
+                    self.stats.lease_expired_aborts += 1
                     return
+                # A refused abort means the run is past its point of no
+                # return (on-demand keeps pushing pages long after its
+                # switch): keep renewing until it finishes.
                 request = LeaseRenewRequest(
                     tenant_id=tenant_id, token=token, node=self.name
                 )

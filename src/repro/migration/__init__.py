@@ -6,31 +6,17 @@ from .fluid import (
     ChunkMap,
     ChunkState,
     FluidMigration,
-    FluidMigrationResult,
     FluidPhase,
     FluidRouter,
     check_fluid_invariants,
 )
 from .lease import Lease, LeaseManager, LeaseService
-from .live import (
-    DeltaRound,
-    LiveMigration,
-    LiveMigrationResult,
-    MigrationAborted,
-    MigrationPhase,
-)
-from .on_demand import (
-    OnDemandMigration,
-    OnDemandMigrationResult,
-    PartialReplicaEngine,
-)
-from .shared_live import SharedMigrationResult, SharedTenantMigration
+from .live import LiveMigration, MigrationAborted, MigrationPhase
+from .on_demand import OnDemandMigration, PartialReplicaEngine
+from .result import MigrationResult
+from .shared_live import SharedTenantMigration
 from .slack import AdditiveSlackModel, EmpiricalSlackEstimator, RateLatencySample
-from .stop_and_copy import (
-    DumpReimportMigration,
-    StopAndCopyMigration,
-    StopAndCopyResult,
-)
+from .stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from .throttle import Throttle, ThrottleStats
 
 __all__ = [
@@ -38,12 +24,10 @@ __all__ = [
     "ChunkMap",
     "ChunkState",
     "ControllerConfig",
-    "DeltaRound",
     "DumpReimportMigration",
     "DynamicThrottleController",
     "EmpiricalSlackEstimator",
     "FluidMigration",
-    "FluidMigrationResult",
     "FluidPhase",
     "FluidRouter",
     "LatencyController",
@@ -52,17 +36,14 @@ __all__ = [
     "LeaseManager",
     "LeaseService",
     "LiveMigration",
-    "LiveMigrationResult",
     "MigrationAborted",
     "MigrationPhase",
+    "MigrationResult",
     "OnDemandMigration",
-    "OnDemandMigrationResult",
     "PartialReplicaEngine",
     "RateLatencySample",
-    "SharedMigrationResult",
     "SharedTenantMigration",
     "StopAndCopyMigration",
-    "StopAndCopyResult",
     "Throttle",
     "ThrottleStats",
 ]

@@ -39,7 +39,6 @@ wire frames merely announce its transitions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
@@ -49,6 +48,7 @@ from ..resources.server import Server
 from ..resources.units import PAGE_SIZE
 from ..simulation import Environment, Event, Interrupt, Process
 from .live import MigrationAborted
+from .result import MigrationResult
 from .throttle import Throttle
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "ChunkState",
     "ChunkMap",
     "FluidRouter",
-    "FluidMigrationResult",
     "FluidMigration",
     "check_fluid_invariants",
 ]
@@ -367,44 +366,6 @@ class FluidRouter:
                 self.writes_to_target += count
 
 
-@dataclass
-class FluidMigrationResult:
-    """Outcome of one fluid migration."""
-
-    tenant: str
-    started_at: float
-    finished_at: float
-    num_chunks: int
-    copied_bytes: int
-    delta_bytes: int
-    #: Per-chunk freeze-window lengths, seconds.
-    freeze_durations: list = field(default_factory=list)
-    target: Optional[DatabaseEngine] = None
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def downtime(self) -> float:
-        """Worst single stall any transaction could have seen."""
-        return max(self.freeze_durations, default=0.0)
-
-    @property
-    def total_freeze_time(self) -> float:
-        return sum(self.freeze_durations)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.copied_bytes + self.delta_bytes
-
-    @property
-    def average_rate(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes / self.duration
-
-
 class FluidMigration:
     """One fluid (chunked-handover) migration of a tenant engine."""
 
@@ -585,7 +546,7 @@ class FluidMigration:
     def run(self) -> Generator:
         """Process: run the full chunked migration.
 
-        Terminates either returning a :class:`FluidMigrationResult`
+        Terminates either returning a :class:`MigrationResult`
         with phase ``COMPLETE`` (every chunk target-owned), or raising
         :class:`MigrationAborted` with phase ``ABORTED`` (every chunk
         source-owned again).
@@ -667,14 +628,14 @@ class FluidMigration:
             self.on_handover(self.target)
         self.source.stop(successor=self.target)
         self._transition(FluidPhase.COMPLETE)
-        return FluidMigrationResult(
-            tenant=self.source.name,
-            started_at=started_at,
-            finished_at=self.env.now,
+        return MigrationResult(
+            kind="fluid",
+            duration=self.env.now - started_at,
+            downtime=max(freeze_durations, default=0.0),
+            total_bytes=copied_bytes + delta_bytes_total,
+            snapshot_bytes=copied_bytes,
             num_chunks=self.num_chunks,
-            copied_bytes=copied_bytes,
-            delta_bytes=delta_bytes_total,
-            freeze_durations=freeze_durations,
+            total_freeze_time=sum(freeze_durations),
             target=self.target,
         )
 

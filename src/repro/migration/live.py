@@ -31,7 +31,6 @@ in ``COMPLETE`` or ``ABORTED``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES, HotBackup
@@ -40,15 +39,10 @@ from ..resources.server import Server
 from ..resources.units import KB
 from ..simulation import Container, Environment, Interrupt, Process, Store
 
+from .result import MigrationResult
 from .throttle import Throttle
 
-__all__ = [
-    "MigrationAborted",
-    "MigrationPhase",
-    "DeltaRound",
-    "LiveMigrationResult",
-    "LiveMigration",
-]
+__all__ = ["MigrationAborted", "MigrationPhase", "LiveMigration"]
 
 
 class MigrationAborted(Exception):
@@ -96,56 +90,6 @@ _TRANSITIONS: dict[MigrationPhase, frozenset[MigrationPhase]] = {
 _NO_ABORT_PHASES = frozenset(
     {MigrationPhase.HANDOVER, MigrationPhase.COMPLETE, MigrationPhase.ABORTED}
 )
-
-
-@dataclass(frozen=True)
-class DeltaRound:
-    """Bookkeeping for one delta-updating round."""
-
-    index: int
-    bytes_shipped: int
-    started_at: float
-    finished_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-
-@dataclass
-class LiveMigrationResult:
-    """Outcome of one live migration."""
-
-    tenant: str
-    started_at: float
-    finished_at: float
-    snapshot_bytes: int
-    snapshot_seconds: float
-    prepare_seconds: float
-    delta_rounds: list[DeltaRound]
-    #: Length of the freeze window (the only period writes stall).
-    downtime: float
-    target: DatabaseEngine
-
-    @property
-    def duration(self) -> float:
-        """End-to-end migration time, seconds."""
-        return self.finished_at - self.started_at
-
-    @property
-    def delta_bytes(self) -> int:
-        return sum(round.bytes_shipped for round in self.delta_rounds)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.snapshot_bytes + self.delta_bytes
-
-    @property
-    def average_rate(self) -> float:
-        """Mean transfer rate over the whole migration, bytes/second."""
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes / self.duration
 
 
 class LiveMigration:
@@ -372,22 +316,19 @@ class LiveMigration:
             yield from self.source.server.nic_out.transfer(size)
             shipped += size
 
-    def _delta_round(self, index: int, throttled: bool = True) -> Generator:
-        """Ship and apply everything the target is currently behind by."""
+    def _delta_round(self, throttled: bool = True) -> Generator:
+        """Ship and apply everything the target is currently behind by.
+
+        Returns the bytes shipped.
+        """
         assert self.target is not None
-        started_at = self.env.now
         from_lsn = self.target.replicated_lsn
         to_lsn = self.source.binlog.head_lsn
         pending = to_lsn - from_lsn
         if pending > 0:
             yield from self._ship_delta(pending, throttled=throttled)
             yield from self.target.apply_delta_bytes(pending, to_lsn)
-        return DeltaRound(
-            index=index,
-            bytes_shipped=pending,
-            started_at=started_at,
-            finished_at=self.env.now,
-        )
+        return pending
 
     # -- the migration ---------------------------------------------------------
 
@@ -395,7 +336,7 @@ class LiveMigration:
         """Process: run the full migration; returns the result record.
 
         Terminates in exactly one of two ways: returns a
-        :class:`LiveMigrationResult` with phase ``COMPLETE``, or raises
+        :class:`MigrationResult` with phase ``COMPLETE``, or raises
         :class:`MigrationAborted` with phase ``ABORTED`` after rolling
         the tenant back to the source.
         """
@@ -416,26 +357,22 @@ class LiveMigration:
             consumer = self._spawn(self._snapshot_consumer(chunks, slots, stream))
             yield self.env.all_of([producer, consumer])
             self._check_abort()
-            snapshot_seconds = self.env.now - started_at
 
             # Step 1b: prepare (crash recovery) on the target.
             self._transition(MigrationPhase.PREPARE)
-            prepare_started = self.env.now
             self.target = self._make_target()
             yield self._spawn(self.backup.prepare(snapshot, self.target))
             self._check_abort()
-            prepare_seconds = self.env.now - prepare_started
 
             # Step 2: delta rounds until the pending log is small enough.
             self._transition(MigrationPhase.DELTA)
-            rounds: list[DeltaRound] = []
+            rounds: list[int] = []  # bytes shipped per round
             while len(rounds) < self.max_delta_rounds:
                 self._check_abort()
                 pending = self.source.binlog.head_lsn - self.target.replicated_lsn
                 if pending <= self.delta_threshold:
                     break
-                round_result = yield self._spawn(self._delta_round(len(rounds) + 1))
-                rounds.append(round_result)
+                rounds.append((yield self._spawn(self._delta_round())))
             self._check_abort()
         except Interrupt as interrupt:
             reason = self._abort_reason or str(interrupt.cause or "interrupted")
@@ -459,10 +396,7 @@ class LiveMigration:
         self.source.freeze(FreezeMode.WRITES)
         try:
             yield self.source.write_quiesced()
-            final_round = yield self._spawn(
-                self._delta_round(len(rounds) + 1, throttled=False)
-            )
-            rounds.append(final_round)
+            rounds.append((yield self._spawn(self._delta_round(throttled=False))))
         except BaseException:
             # Never leave the tenant frozen, whatever went wrong.
             if self.source.is_frozen:
@@ -477,14 +411,12 @@ class LiveMigration:
         self.source.stop(successor=self.target)
 
         self._transition(MigrationPhase.COMPLETE)
-        return LiveMigrationResult(
-            tenant=self.source.name,
-            started_at=started_at,
-            finished_at=self.env.now,
-            snapshot_bytes=snapshot.total_bytes,
-            snapshot_seconds=snapshot_seconds,
-            prepare_seconds=prepare_seconds,
-            delta_rounds=rounds,
+        return MigrationResult(
+            kind="live",
+            duration=self.env.now - started_at,
             downtime=downtime,
+            total_bytes=snapshot.total_bytes + sum(rounds),
+            snapshot_bytes=snapshot.total_bytes,
+            delta_rounds=len(rounds),
             target=self.target,
         )

@@ -24,17 +24,18 @@ This module implements that baseline so the claim can be measured:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..db.engine import DatabaseEngine
 from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import MB, PAGE_SIZE
-from ..simulation import Environment
+from ..simulation import Environment, Interrupt, Process
+from .live import MigrationAborted
+from .result import MigrationResult
 from .throttle import Throttle
 
-__all__ = ["OnDemandMigrationResult", "PartialReplicaEngine", "OnDemandMigration"]
+__all__ = ["PartialReplicaEngine", "OnDemandMigration"]
 
 #: Size of the "wireframe" (schema + index metadata), bytes.
 WIREFRAME_BYTES = 4 * MB
@@ -90,32 +91,15 @@ class PartialReplicaEngine(DatabaseEngine):
         yield from super()._access_page(txn, page_id, write)
 
 
-@dataclass
-class OnDemandMigrationResult:
-    """Outcome of one on-demand migration."""
-
-    tenant: str
-    started_at: float
-    #: When ownership switched to the target (end of wireframe).
-    switched_at: float
-    #: When the last page arrived at the target.
-    finished_at: float
-    remote_fetches: int
-    pushed_pages: int
-    target: "PartialReplicaEngine"
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def switch_latency(self) -> float:
-        """Time until the target became authoritative."""
-        return self.switched_at - self.started_at
-
-
 class OnDemandMigration:
-    """Wireframe → immediate switch → pulls + throttled background push."""
+    """Wireframe → immediate switch → pulls + throttled background push.
+
+    Abortable until the ownership switch: only the wireframe has moved
+    by then, so the source simply keeps serving.  From the switch on
+    the cold target is authoritative and aborts are refused.
+    """
+
+    kind = "on-demand"
 
     def __init__(
         self,
@@ -123,14 +107,39 @@ class OnDemandMigration:
         source: DatabaseEngine,
         target_server: Server,
         push_throttle: Optional[Throttle] = None,
-        on_switch=None,
+        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
+        fence: Optional[Callable[[], bool]] = None,
+        obs=None,
     ):
         self.env = env
         self.source = source
         self.target_server = target_server
         self.push_throttle = push_throttle
-        self.on_switch = on_switch
+        self.on_handover = on_handover
+        #: Fencing gate, consulted immediately before the switch.
+        self.fence = fence
+        self.obs = obs
         self.target: Optional[PartialReplicaEngine] = None
+        #: When ownership switched to the target (the point of no return).
+        self.switched_at: Optional[float] = None
+        self.rolled_back = False
+        self._abort_reason: Optional[str] = None
+        self._process: Optional[Process] = None
+
+    def try_abort(self, reason: str = "cancelled") -> bool:
+        """Request an abort; accepted only before the ownership switch."""
+        if self.switched_at is not None or self.rolled_back:
+            return False
+        if self._abort_reason is None:
+            self._abort_reason = reason
+        proc = self._process
+        if proc is not None and proc.is_alive and proc is not self.env.active_process:
+            proc.interrupt(reason)
+        return True
+
+    def _abort(self, reason: str) -> MigrationAborted:
+        self.rolled_back = True
+        return MigrationAborted(reason)
 
     def _make_target(self) -> PartialReplicaEngine:
         return PartialReplicaEngine(
@@ -174,23 +183,36 @@ class OnDemandMigration:
         return pushed
 
     def run(self) -> Generator:
-        """Process: run the migration; returns the result record."""
+        """Process: run the migration; returns a :class:`MigrationResult`."""
+        self._process = self.env.active_process
         started_at = self.env.now
-
-        # 1. Wireframe: small, fast metadata transfer.
-        yield from self.source.server.disk.read(
-            WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
-        )
-        yield from self.source.server.nic_out.transfer(WIREFRAME_BYTES)
-        yield from self.target_server.disk.write(
-            WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
-        )
+        stream = f"{self.source.name}:wire"
+        try:
+            if self._abort_reason is None:
+                # 1. Wireframe: small, fast metadata transfer.
+                yield from self.source.server.disk.read(
+                    WIREFRAME_BYTES, sequential=True, stream=stream
+                )
+                yield from self.source.server.nic_out.transfer(WIREFRAME_BYTES)
+                yield from self.target_server.disk.write(
+                    WIREFRAME_BYTES, sequential=True, stream=stream
+                )
+        except Interrupt as interrupt:
+            self._abort_reason = self._abort_reason or str(
+                interrupt.cause or "interrupted"
+            )
+        if self._abort_reason is not None:
+            raise self._abort(self._abort_reason)
+        if self.fence is not None and not self.fence():
+            raise self._abort("fencing check failed at ownership switch")
 
         # 2. Immediate ownership switch: the cold target is authoritative.
         self.target = self._make_target()
-        switched_at = self.env.now
-        if self.on_switch is not None:
-            self.on_switch(self.target)
+        self.switched_at = self.env.now
+        if self.obs is not None:
+            self.obs.on_migration_freeze(self, self.switched_at - started_at)
+        if self.on_handover is not None:
+            self.on_handover(self.target)
         # The source stops accepting new work and forwards to the target
         # (which will pull whatever pages it needs back out of the source
         # data files).
@@ -205,12 +227,11 @@ class OnDemandMigration:
         finished_at = self.target.completed_at
         if finished_at is None:
             finished_at = self.env.now
-        return OnDemandMigrationResult(
-            tenant=self.source.name,
-            started_at=started_at,
-            switched_at=switched_at,
-            finished_at=finished_at,
+        return MigrationResult(
+            kind=self.kind,
+            duration=finished_at - started_at,
+            downtime=self.switched_at - started_at,
+            total_bytes=(self.target.remote_fetches + pushed) * PAGE_SIZE,
             remote_fetches=self.target.remote_fetches,
-            pushed_pages=pushed,
             target=self.target,
         )

@@ -14,8 +14,6 @@ noisy tenant out of a shared daemon into isolation.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
@@ -24,41 +22,11 @@ from ..db.shared import SharedProcessEngine, TableLevelBackup
 from ..resources.server import Server
 from ..resources.units import KB, MB
 from ..simulation import Environment
-from .live import DeltaRound, MigrationPhase
+from .live import MigrationPhase
+from .result import MigrationResult
 from .throttle import Throttle
 
-__all__ = ["SharedMigrationResult", "SharedTenantMigration"]
-
-
-@dataclass
-class SharedMigrationResult:
-    """Outcome of migrating one tenant out of a shared daemon."""
-
-    tenant_id: int
-    started_at: float
-    finished_at: float
-    snapshot_bytes: int
-    delta_rounds: list[DeltaRound]
-    downtime: float
-    target: DatabaseEngine
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def delta_bytes(self) -> int:
-        return sum(r.bytes_shipped for r in self.delta_rounds)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.snapshot_bytes + self.delta_bytes
-
-    @property
-    def average_rate(self) -> float:
-        if self.duration <= 0:
-            return 0.0
-        return self.total_bytes / self.duration
+__all__ = ["SharedTenantMigration"]
 
 
 class SharedTenantMigration:
@@ -148,24 +116,16 @@ class SharedTenantMigration:
 
         # Step 2: tagged delta rounds.
         self.phase = MigrationPhase.DELTA
-        rounds: list[DeltaRound] = []
+        rounds: list[int] = []  # bytes shipped per round
         ship_stream = f"{self.source.name}:binlog-t{self.tenant_id}"
         while len(rounds) < self.max_delta_rounds:
             pending = self.backup.pending_delta(self.target.replicated_lsn)
             if pending <= self.delta_threshold:
                 break
-            round_started = self.env.now
             to_lsn = self.source.binlog.head_lsn
             yield from self._ship(pending, ship_stream)
             yield from self.target.apply_delta_bytes(pending, to_lsn)
-            rounds.append(
-                DeltaRound(
-                    index=len(rounds) + 1,
-                    bytes_shipped=pending,
-                    started_at=round_started,
-                    finished_at=self.env.now,
-                )
-            )
+            rounds.append(pending)
 
         # Step 3: freeze just this tenant's tables and hand over.
         self.phase = MigrationPhase.HANDOVER
@@ -178,14 +138,7 @@ class SharedTenantMigration:
             yield from self._ship(final_pending, ship_stream, throttled=False)
         yield from self.target.apply_delta_bytes(final_pending, final_to)
         self.target.data_version = tenant.data_version
-        rounds.append(
-            DeltaRound(
-                index=len(rounds) + 1,
-                bytes_shipped=final_pending,
-                started_at=freeze_started,
-                finished_at=self.env.now,
-            )
-        )
+        rounds.append(final_pending)
         downtime = self.env.now - freeze_started
         if self.on_handover is not None:
             self.on_handover(self.target)
@@ -193,12 +146,12 @@ class SharedTenantMigration:
         self.source.drop_tenant(self.tenant_id)
 
         self.phase = MigrationPhase.COMPLETE
-        return SharedMigrationResult(
-            tenant_id=self.tenant_id,
-            started_at=started_at,
-            finished_at=self.env.now,
-            snapshot_bytes=snapshot.total_bytes,
-            delta_rounds=rounds,
+        return MigrationResult(
+            kind="shared",
+            duration=self.env.now - started_at,
             downtime=downtime,
+            total_bytes=snapshot.total_bytes + sum(rounds),
+            snapshot_bytes=snapshot.total_bytes,
+            delta_rounds=len(rounds),
             target=self.target,
         )

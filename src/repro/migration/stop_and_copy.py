@@ -15,43 +15,30 @@ size (which is why the paper abandons them for live migration):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
 from ..db.engine import DatabaseEngine, FreezeMode
 from ..resources.server import Server
 from ..resources.units import PAGE_SIZE
-from ..simulation import Environment
+from ..simulation import Environment, Interrupt, Process
+from .live import MigrationAborted
+from .result import MigrationResult
 from .throttle import Throttle
 
-__all__ = ["StopAndCopyResult", "StopAndCopyMigration", "DumpReimportMigration"]
-
-
-@dataclass
-class StopAndCopyResult:
-    """Outcome of a stop-and-copy migration."""
-
-    method: str
-    started_at: float
-    finished_at: float
-    bytes_copied: int
-    target: DatabaseEngine
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def downtime(self) -> float:
-        """The tenant is down for the entire copy: downtime == duration."""
-        return self.duration
+__all__ = ["StopAndCopyMigration", "DumpReimportMigration"]
 
 
 class StopAndCopyMigration:
-    """File-level stop-and-copy of one tenant to a target server."""
+    """File-level stop-and-copy of one tenant to a target server.
 
-    method = "file-copy"
+    Abortable any time before the handover: the rollback thaws the
+    source and drops the partial copy (the target engine only exists
+    once the copy is complete).  From the handover on aborts are
+    refused.
+    """
+
+    kind = "stop-and-copy"
 
     def __init__(
         self,
@@ -60,6 +47,9 @@ class StopAndCopyMigration:
         target_server: Server,
         throttle: Optional[Throttle] = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
+        fence: Optional[Callable[[], bool]] = None,
+        obs=None,
     ):
         if chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
@@ -68,6 +58,33 @@ class StopAndCopyMigration:
         self.target_server = target_server
         self.throttle = throttle
         self.chunk_bytes = chunk_bytes
+        self.on_handover = on_handover
+        #: Fencing gate, consulted immediately before the handover.
+        self.fence = fence
+        self.obs = obs
+        #: True from the handover (the point of no return) on.
+        self.handed_over = False
+        self.rolled_back = False
+        self._abort_reason: Optional[str] = None
+        self._process: Optional[Process] = None
+
+    def try_abort(self, reason: str = "cancelled") -> bool:
+        """Request an abort; accepted any time before the handover."""
+        if self.handed_over or self.rolled_back:
+            return False
+        if self._abort_reason is None:
+            self._abort_reason = reason
+        proc = self._process
+        if proc is not None and proc.is_alive and proc is not self.env.active_process:
+            proc.interrupt(reason)
+        return True
+
+    def _abort(self, reason: str) -> MigrationAborted:
+        """Roll back to a serving source; returns the exception to raise."""
+        if self.source.is_frozen:
+            self.source.thaw()
+        self.rolled_back = True
+        return MigrationAborted(reason)
 
     def _make_target(self) -> DatabaseEngine:
         return DatabaseEngine(
@@ -89,30 +106,47 @@ class StopAndCopyMigration:
         yield from self.target_server.disk.write(size, sequential=True, stream=stream)
 
     def run(self) -> Generator:
-        """Process: perform the migration; returns a result record."""
+        """Process: perform the migration; returns a :class:`MigrationResult`."""
+        self._process = self.env.active_process
         started_at = self.env.now
-        self.source.freeze(FreezeMode.ALL)
-        yield self.source.write_quiesced()
-
         total = self.source.data_bytes
         copied = 0
         stream = f"{self.source.name}:stop-and-copy"
-        while copied < total:
-            size = min(self.chunk_bytes, total - copied)
-            yield from self._ship_chunk(size, stream)
-            copied += size
+        try:
+            if self._abort_reason is None:
+                self.source.freeze(FreezeMode.ALL)
+                yield self.source.write_quiesced()
+                while copied < total:
+                    size = min(self.chunk_bytes, total - copied)
+                    yield from self._ship_chunk(size, stream)
+                    copied += size
+        except Interrupt as interrupt:
+            self._abort_reason = self._abort_reason or str(
+                interrupt.cause or "interrupted"
+            )
+        if self._abort_reason is not None:
+            raise self._abort(self._abort_reason)
+        if self.fence is not None and not self.fence():
+            raise self._abort("fencing check failed at handover")
 
         target = self._make_target()
         # The copied files are already current: no writes ran since the
         # freeze, so the target starts at the source's exact LSN.
         target.replicated_lsn = self.source.binlog.head_lsn
         target.data_version = self.source.data_version
+        self.handed_over = True
+        duration = self.env.now - started_at
+        if self.obs is not None:
+            self.obs.on_migration_freeze(self, duration)
+        if self.on_handover is not None:
+            self.on_handover(target)
         self.source.stop(successor=target)
-        return StopAndCopyResult(
-            method=self.method,
-            started_at=started_at,
-            finished_at=self.env.now,
-            bytes_copied=copied,
+        # The tenant is down for the entire copy: downtime == duration.
+        return MigrationResult(
+            kind=self.kind,
+            duration=duration,
+            downtime=duration,
+            total_bytes=copied,
             target=target,
         )
 
@@ -126,7 +160,7 @@ class DumpReimportMigration(StopAndCopyMigration):
     measurements.
     """
 
-    method = "dump-reimport"
+    kind = "dump-reimport"
 
     #: Rows re-inserted per batched import statement.
     import_batch_rows = 64

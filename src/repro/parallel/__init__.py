@@ -14,12 +14,11 @@ SLK008 rather than left as convention.
 
 from .cache import ResultCache, code_fingerprint, point_key
 from .pool import WorkerPool
-from .record import MigrationRecord, PointRecord, TenantRecord
+from .record import PointRecord, TenantRecord
 from .runner import SweepPoint, SweepRunner, resolve_jobs
 from .tasks import MULTI_TENANT, SINGLE_TENANT, resolve_task
 
 __all__ = [
-    "MigrationRecord",
     "MULTI_TENANT",
     "PointRecord",
     "ResultCache",

@@ -18,88 +18,16 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.harness import ExperimentOutcome, MigrationSpec, PooledLatencyStats
 from ..core.config import ExperimentConfig
-from ..migration.fluid import FluidMigrationResult
-from ..migration.on_demand import OnDemandMigrationResult
-from ..migration.stop_and_copy import StopAndCopyResult
+from ..migration.result import MigrationResult
 from ..obs import RunReport
-from ..resources.units import PAGE_SIZE
 from ..simulation import Series
 
-__all__ = ["MigrationRecord", "TenantRecord", "PointRecord"]
-
-
-@dataclass(frozen=True)
-class MigrationRecord:
-    """Scalar summary of a migration result, detached from the engines."""
-
-    #: "live", "stop-and-copy", "dump-reimport", "fluid", or "on-demand".
-    kind: str
-    #: End-to-end migration time, seconds.
-    duration: float
-    #: Freeze/handover window (live) or the whole copy (stop-and-copy).
-    downtime: float
-    #: Bytes moved end to end (snapshot + deltas, or the full copy).
-    total_bytes: int
-    #: Mean transfer rate over the whole migration, bytes/second.
-    average_rate: float
-    #: Live-migration detail: snapshot volume and delta-round count.
-    snapshot_bytes: int = 0
-    delta_rounds: int = 0
-    #: Fluid-migration detail: chunk count and summed freeze time.
-    num_chunks: int = 0
-    total_freeze_time: float = 0.0
-    #: On-demand detail: pages pulled remotely inside transactions.
-    remote_fetches: int = 0
-
-    @classmethod
-    def from_result(cls, result) -> "MigrationRecord":
-        """Summarize any migration-result flavor into plain scalars."""
-        if isinstance(result, StopAndCopyResult):
-            duration = result.duration
-            return cls(
-                kind=result.method,
-                duration=duration,
-                downtime=result.downtime,
-                total_bytes=result.bytes_copied,
-                average_rate=result.bytes_copied / max(duration, 1e-9),
-            )
-        if isinstance(result, FluidMigrationResult):
-            return cls(
-                kind="fluid",
-                duration=result.duration,
-                downtime=result.downtime,
-                total_bytes=result.total_bytes,
-                average_rate=result.average_rate,
-                num_chunks=result.num_chunks,
-                total_freeze_time=result.total_freeze_time,
-            )
-        if isinstance(result, OnDemandMigrationResult):
-            duration = result.duration
-            total_bytes = (
-                result.remote_fetches + result.pushed_pages
-            ) * PAGE_SIZE
-            return cls(
-                kind="on-demand",
-                duration=duration,
-                downtime=result.switch_latency,
-                total_bytes=total_bytes,
-                average_rate=total_bytes / max(duration, 1e-9),
-                remote_fetches=result.remote_fetches,
-            )
-        return cls(
-            kind="live",
-            duration=result.duration,
-            downtime=result.downtime,
-            total_bytes=result.total_bytes,
-            average_rate=result.average_rate,
-            snapshot_bytes=result.snapshot_bytes,
-            delta_rounds=len(result.delta_rounds),
-        )
+__all__ = ["TenantRecord", "PointRecord"]
 
 
 @dataclass
@@ -123,7 +51,8 @@ class PointRecord(PooledLatencyStats):
     tenants: list[TenantRecord]
     window_start: float
     window_end: float
-    migration: Optional[MigrationRecord] = None
+    #: The migration result, detached from its target engine.
+    migration: Optional[MigrationResult] = None
     throttle_series: Optional[Series] = None
     controller_latency_series: Optional[Series] = None
     #: Task-specific extra measurements (small picklable values only).
@@ -152,7 +81,7 @@ class PointRecord(PooledLatencyStats):
             window_start=outcome.window_start,
             window_end=outcome.window_end,
             migration=(
-                MigrationRecord.from_result(outcome.migration)
+                replace(outcome.migration, target=None)
                 if outcome.migration is not None
                 else None
             ),

@@ -282,6 +282,7 @@ class WaveExecutor:
                     proposal.target,
                     setpoint=self.setpoint,
                     chunks=proposal.chunks or None,
+                    method="fluid" if proposal.chunks else "live",
                 )
             )
         except MigrationAborted:
@@ -394,6 +395,7 @@ class WaveExecutor:
                     proposal.target,
                     setpoint=effective,
                     chunks=proposal.chunks or None,
+                    method="fluid" if proposal.chunks else "live",
                 )
             )
         except MigrationAborted:

@@ -17,7 +17,7 @@ from repro.experiments.chaos_fuzz import (
     run,
     shrink,
 )
-from repro.experiments.chaos_sweep import _plan_from_kwargs
+from repro.faults.invariants import plan_from_kwargs
 from repro.experiments.common import scaled_config
 
 #: The config every CLI/CI fuzz run uses at this scale and seed; the
@@ -37,7 +37,7 @@ class TestPlanGeneration:
     def test_generated_plans_are_valid_and_picklable(self):
         for seed in range(30):
             kwargs = generate_plan(seed)
-            plan = _plan_from_kwargs(
+            plan = plan_from_kwargs(
                 kwargs["messages"], kwargs["scheduled"], kwargs["partitions"]
             )
             pickle.dumps(kwargs)  # must cross the worker-pool boundary

@@ -75,6 +75,27 @@ class TestOutcomeJson:
         text = json.dumps(outcome_to_dict(outcome))
         assert "duration_s" in text
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MigrationSpec.fixed(mb_per_sec(8)),
+            MigrationSpec.dynamic(0.5),
+            MigrationSpec.fluid(mb_per_sec(8), chunks=4),
+            MigrationSpec.on_demand(mb_per_sec(8)),
+            MigrationSpec(kind="stop-and-copy"),
+            MigrationSpec(kind="dump-reimport"),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_every_migration_kind_exports(self, spec):
+        # On-demand outcomes used to crash here (no ``downtime``).
+        outcome = run_single_tenant(TINY, spec, warmup=2, cooldown=1)
+        migration = json.loads(json.dumps(outcome_to_dict(outcome)))["migration"]
+        assert migration["kind"] == spec.method
+        assert migration["duration_s"] > 0
+        assert migration["downtime_s"] >= 0
+        assert migration["total_bytes"] >= TINY.tenant.data_bytes
+
     def test_baseline_has_no_migration(self):
         outcome = run_single_tenant(
             TINY, MigrationSpec.none(), warmup=2, baseline_duration=5

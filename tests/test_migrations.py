@@ -36,7 +36,7 @@ class TestStopAndCopy:
     def test_copies_everything_and_switches(self, env, engine, target_server):
         migration = StopAndCopyMigration(env, engine, target_server)
         result = env.run(until=env.process(migration.run()))
-        assert result.bytes_copied == engine.data_bytes
+        assert result.total_bytes == engine.data_bytes
         assert result.downtime == result.duration
         assert engine.state is EngineState.STOPPED
         assert engine.successor is result.target
@@ -68,9 +68,9 @@ class TestStopAndCopy:
                 name=f"e{i}", buffer_bytes=2 * MB,
             )
             migration = cls(env, eng, target)
-            results[cls.method] = env.run(until=env.process(migration.run()))
+            results[cls.kind] = env.run(until=env.process(migration.run()))
         assert (
-            results["dump-reimport"].downtime > 1.5 * results["file-copy"].downtime
+            results["dump-reimport"].downtime > 1.5 * results["stop-and-copy"].downtime
         )
 
     def test_queries_blocked_during_copy_then_forwarded(
@@ -146,9 +146,7 @@ class TestLiveMigration:
 
     def test_workload_continues_during_migration(self, env, engine, target_server):
         client, migration, result = self.run_live(env, engine, target_server)
-        during = client.latencies.window_values(
-            result.started_at, result.finished_at
-        )
+        during = client.latencies.window_values(env.now - result.duration, env.now)
         assert len(during) > 10  # transactions kept completing throughout
 
     def test_delta_rounds_ship_concurrent_writes(self, env, engine, target_server):
@@ -156,9 +154,8 @@ class TestLiveMigration:
         client, migration, result = self.run_live(
             env, engine, target_server, rate_mb=4, client_rate=12.0
         )
-        assert result.delta_bytes > 0
-        assert len(result.delta_rounds) >= 1
-        assert result.total_bytes == result.snapshot_bytes + result.delta_bytes
+        assert result.total_bytes > result.snapshot_bytes  # deltas shipped
+        assert result.delta_rounds >= 1
 
     def test_average_rate_close_to_throttle(self, env, engine, target_server):
         client, migration, result = self.run_live(env, engine, target_server, rate_mb=8)

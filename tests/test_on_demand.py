@@ -7,7 +7,7 @@ from repro.db import DatabaseEngine, TableLayout
 from repro.db.engine import EngineState
 from repro.migration import OnDemandMigration, PartialReplicaEngine, Throttle
 from repro.resources import Server, mb_per_sec
-from repro.resources.units import MB
+from repro.resources.units import MB, PAGE_SIZE
 from repro.simulation import Environment, RandomStreams, Trace
 from repro.workload import (
     BenchmarkClient,
@@ -52,7 +52,7 @@ def run_on_demand(env, engine, dst, handle, push_rate_mb=None, warmup=5.0):
     )
     migration = OnDemandMigration(
         env, engine, dst, push_throttle=throttle,
-        on_switch=lambda t: setattr(handle, "engine", t),
+        on_handover=lambda t: setattr(handle, "engine", t),
     )
 
     def experiment():
@@ -63,26 +63,24 @@ def run_on_demand(env, engine, dst, handle, push_rate_mb=None, warmup=5.0):
     result = env.run(until=env.process(experiment()))
     if throttle is not None:
         throttle.stop()
-    return result
+    return migration, result
 
 
 class TestOnDemandMigration:
     def test_switch_is_near_instant(self, env, streams):
         src, dst, engine, handle, client, trace = build(env, streams)
-        result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
+        migration, result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
         # The wireframe is tiny: ownership moves in well under a second
         # of *transfer* (modulo queueing behind the workload).
-        assert result.switch_latency < 5.0
+        assert result.downtime < 5.0
         assert engine.state is EngineState.STOPPED
         assert isinstance(result.target, PartialReplicaEngine)
 
     def test_all_pages_eventually_present(self, env, streams):
         src, dst, engine, handle, client, trace = build(env, streams)
-        result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
+        migration, result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
         assert result.target.pages_missing == 0
-        assert result.pushed_pages + result.remote_fetches >= (
-            engine.layout.num_pages
-        )
+        assert result.total_bytes // PAGE_SIZE >= engine.layout.num_pages
 
     @pytest.mark.parametrize("push_rate_mb", [2, 8, 32])
     def test_page_transfer_conservation(self, push_rate_mb):
@@ -96,22 +94,23 @@ class TestOnDemandMigration:
         env = Environment()
         streams = RandomStreams(11)
         src, dst, engine, handle, client, trace = build(env, streams, rate=4.0)
-        result = run_on_demand(
+        migration, result = run_on_demand(
             env, engine, dst, handle, push_rate_mb=push_rate_mb
         )
-        assert (
-            result.pushed_pages + result.remote_fetches
-            == engine.layout.num_pages
-        )
+        # total_bytes bills pushed + pulled pages.
+        assert result.total_bytes == engine.layout.num_pages * PAGE_SIZE
         # Races still happen; they land in the redundant bucket only.
         assert result.target.redundant_fetches >= 0
         assert result.target.pages_missing == 0
 
     def test_finished_at_is_last_page_arrival(self, env, streams):
         src, dst, engine, handle, client, trace = build(env, streams)
-        result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
-        assert result.finished_at == result.target.completed_at
-        assert result.finished_at >= result.switched_at
+        migration, result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
+        started_at = migration.switched_at - result.downtime
+        assert started_at + result.duration == pytest.approx(
+            result.target.completed_at
+        )
+        assert result.duration >= result.downtime
         assert result.duration > 0
 
     def test_no_transactions_lost(self, env, streams):
@@ -124,17 +123,17 @@ class TestOnDemandMigration:
 
     def test_cold_target_pays_remote_fetches(self, env, streams):
         src, dst, engine, handle, client, trace = build(env, streams)
-        result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
+        migration, result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
         assert result.remote_fetches > 0
         assert result.target.remote_fetch_time > 0
 
     def test_post_switch_latency_degrades(self, env, streams):
         src, dst, engine, handle, client, trace = build(env, streams, rate=4.0)
-        result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
+        migration, result = run_on_demand(env, engine, dst, handle, push_rate_mb=8)
         env.run(until=env.now + 2.0)
-        before = trace["lat"].window_values(0, result.switched_at)
+        before = trace["lat"].window_values(0, migration.switched_at)
         after = trace["lat"].window_values(
-            result.switched_at, result.switched_at + 15.0
+            migration.switched_at, migration.switched_at + 15.0
         )
         assert before and after
         assert (sum(after) / len(after)) > (sum(before) / len(before))
@@ -158,11 +157,11 @@ class TestOnDemandMigration:
             src, dst, engine, handle, client, trace = build(
                 env, streams, data_mb=64, rate=4.0
             )
-            result = run_on_demand(
+            migration, result = run_on_demand(
                 env, engine, dst, handle, push_rate_mb=push_rate
             )
             window = trace["lat"].window_values(
-                result.switched_at, result.switched_at + 20.0
+                migration.switched_at, migration.switched_at + 20.0
             )
             outcomes[push_rate] = (
                 result.remote_fetches,
