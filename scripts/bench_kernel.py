@@ -155,7 +155,8 @@ def bench_fleet(nodes: int = 100, tenants: int = 1000) -> dict:
     Alongside wall time and events/sec, reports how many tick events
     the coalesced timers elided: ``events + elided_events`` is what the
     same bit-identical trajectory would have cost with one event per
-    heartbeat/detector/refill tick.
+    heartbeat/detector/refill tick.  ``inline_grants`` counts resource
+    grants that continued in place instead of costing an event.
     """
     points = fleet_sweep.sweep_points(None, nodes=nodes, tenants=tenants)
     drain = next(p for p in points if p.label == "drain")
@@ -174,6 +175,7 @@ def bench_fleet(nodes: int = 100, tenants: int = 1000) -> dict:
         "events": record.events,
         "events_per_sec": round(record.events / seconds),
         "elided_events": record.elided,
+        "inline_grants": record.inline,
         "event_reduction_pct": round(100.0 * record.elided / naive, 1)
         if naive else 0.0,
     }
@@ -293,7 +295,8 @@ def main() -> None:
             f"-> {fleet['events_per_sec']:,} events/sec, "
             f"{fleet['elided_events']:,} ticks elided "
             f"({fleet['event_reduction_pct']:g}% fewer events than "
-            f"one-event-per-tick)"
+            f"one-event-per-tick), "
+            f"{fleet['inline_grants']:,} grants continued in place"
         )
 
     append_record(Path(args.out), record)

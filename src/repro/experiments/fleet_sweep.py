@@ -97,6 +97,10 @@ class FleetRecord:
     #: Tick events the coalesced timers elided (``events + elided`` is
     #: the one-event-per-tick cost of the same trajectory).
     elided: int = 0
+    #: Resource grants that continued in place instead of costing an
+    #: event (``events + inline`` is the one-event-per-grant cost).
+    #: Excluded from ``fingerprint`` like ``events`` and ``elided``.
+    inline: int = 0
     #: Observability snapshot when run with ``observe=True``; excluded
     #: from ``fingerprint`` (watching must not change the trajectory).
     report: Optional[RunReport] = None
@@ -332,6 +336,7 @@ def fleet_point(
         sim_end=env.now,
         events=env.processed_events,
         elided=env.elided_events,
+        inline=env.inline_grants,
         report=report,
     )
 

@@ -85,7 +85,8 @@ class Cpu:
         cores = self._cores
         grant = cores.request(priority)
         try:
-            yield grant
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
             burst = self.burst_time(mean_seconds)
             yield self.env.timeout(burst)
             self.stats.bursts += 1

@@ -199,7 +199,8 @@ class Disk:
         arm = self._arm
         grant = arm.request(priority)
         try:
-            yield grant
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
             stats = self.stats
             stats.queue_time += env.now - queued_at
             service = self._service(nbytes, sequential, stream, cached)

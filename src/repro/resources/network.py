@@ -79,7 +79,8 @@ class NetworkLink:
         wire = self._wire
         grant = wire.request(priority)
         try:
-            yield grant
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
             serialization = nbytes / self.params.bandwidth
             yield self.env.timeout(serialization)
             self.stats.busy_time += serialization

@@ -413,6 +413,8 @@ class Environment:
         "_active_process",
         "_processed",
         "_elided",
+        "_inline",
+        "_fanout",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -430,6 +432,11 @@ class Environment:
         self._processed = 0
         #: Tick events coalescing avoided (see :attr:`elided_events`).
         self._elided = 0
+        #: Grants that continued in place (see :attr:`inline_grants`).
+        self._inline = 0
+        #: True while one event is dispatched to several callbacks, or
+        #: through :meth:`step`; no grant continues in place meanwhile.
+        self._fanout = False
 
     @property
     def now(self) -> float:
@@ -468,6 +475,37 @@ class Environment:
     def note_elided(self, count: int) -> None:
         """Record ``count`` conceptual ticks handled without events."""
         self._elided += count
+
+    @property
+    def inline_grants(self) -> int:
+        """Uncontended resource grants that continued in place.
+
+        Each one is a grant event the kernel would have processed next
+        anyway, so :meth:`~repro.simulation.resources.Resource.request`
+        returned it already processed instead of scheduling it.
+        ``processed_events + inline_grants`` is what the same trajectory
+        costs when every grant is an event.  Kept apart from
+        :attr:`elided_events`, which counts coalesced ticks.
+        """
+        return self._inline
+
+    def _next_in_place(self) -> bool:
+        """True when an event scheduled at ``now`` would be processed next.
+
+        All four must hold: a process is active; the event that resumed
+        it is the last entry of the bucket at ``now``; no urgent event
+        is due at or before ``now``; and that event is not being
+        dispatched to several callbacks.
+        """
+        process = self._active_process
+        if process is None or self._fanout:
+            return False
+        now = self._now
+        bucket = self._buckets.get(now)
+        if not bucket or bucket[-1] is not process._target:
+            return False
+        urgent = self._urgent
+        return not urgent or urgent[0][0] > now
 
     # -- event factories -------------------------------------------------
 
@@ -598,8 +636,12 @@ class Environment:
             raise SimulationError("no scheduled events")
         self._processed += 1
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+        self._fanout = True
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._fanout = False
         if event._ok is False and not event._defused:
             # Nobody handled this failure: crash the simulation loudly,
             # per "errors should never pass silently".
@@ -618,7 +660,9 @@ class Environment:
         elif isinstance(until, Event):
             stop_event = until
             if stop_event.processed:
-                return stop_event._value
+                if stop_event._ok:
+                    return stop_event._value
+                raise stop_event._value
             stop_event.callbacks.append(self._stop_callback)
         else:
             at = float(until)
@@ -659,8 +703,12 @@ class Environment:
                         if len(callbacks) == 1:  # overwhelmingly common
                             callbacks[0](event)
                         else:
-                            for callback in callbacks:
-                                callback(event)
+                            self._fanout = True
+                            try:
+                                for callback in callbacks:
+                                    callback(event)
+                            finally:
+                                self._fanout = False
                         if event._ok is False and not event._defused:
                             raise event._value
                         continue
@@ -688,8 +736,12 @@ class Environment:
                         if len(callbacks) == 1:  # overwhelmingly common
                             callbacks[0](event)
                         else:
-                            for callback in callbacks:
-                                callback(event)
+                            self._fanout = True
+                            try:
+                                for callback in callbacks:
+                                    callback(event)
+                            finally:
+                                self._fanout = False
                         if event._ok is False and not event._defused:
                             raise event._value
                 finally:

@@ -73,7 +73,8 @@ class Resource:
     The queue is non-empty only while every unit is in use: a release
     grants the head of the queue at once, and a request that finds a
     free unit is granted on the spot.  That invariant is the fast path
-    — an uncontended request never touches the wait heap.
+    — an uncontended request never touches the wait heap, and when
+    nothing else could run first its grant costs no event either.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -99,7 +100,13 @@ class Resource:
         """Claim one unit of capacity; the returned event fires when granted.
 
         A grant is scheduled at the current time, exactly where
-        ``succeed()`` would schedule it.
+        ``succeed()`` would schedule it — unless that event would be
+        the very next one processed anyway.  Then the grant comes back
+        already processed and the caller continues in place (counted in
+        :attr:`~repro.simulation.core.Environment.inline_grants`).  The
+        caller must yield the grant, or skip the yield when
+        ``grant.callbacks is None``, before it schedules anything else
+        at this instant.
         """
         env = self.env
         request = _new_event(Request)
@@ -114,7 +121,11 @@ class Resource:
             request.granted_at = env._now
             request._ok = True
             request._value = None
-            env._schedule(request)
+            if env._next_in_place():
+                request.callbacks = None
+                env._inline += 1
+            else:
+                env._schedule(request)
         else:
             request.granted_at = None
             request._ok = None

@@ -11,7 +11,11 @@ current fast path and demand identical trajectories:
   before its direct-grant fast path: every request pushed onto the
   wait heap and popped back off, granted through ``succeed()``, and
   released through the ``with`` protocol
-  (``tests/test_resource_fast_path.py``).
+  (``tests/test_resource_fast_path.py``);
+* :func:`process_per_txn_worker_loop` / :func:`process_per_txn_user_loop`
+  — the open and closed benchmark clients' loops before transactions
+  ran inline: each transaction in its own child ``Process``
+  (``tests/test_inline_transactions.py``).
 
 Nothing under ``src/`` imports this module.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import replace
 from typing import Any, Optional
 
 from repro.simulation.core import (
@@ -31,11 +36,19 @@ from repro.simulation.core import (
     StopSimulation,
     Timeout,
 )
+from repro.workload.client import _resolve_engine
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-__all__ = ["HeapEnvironment", "Request", "Resource"]
+__all__ = [
+    "HeapEnvironment",
+    "Request",
+    "Resource",
+    "assert_fleet_records_match",
+    "process_per_txn_user_loop",
+    "process_per_txn_worker_loop",
+]
 
 
 class HeapEnvironment(Environment):
@@ -218,3 +231,37 @@ class Resource:
             self.users.append(request)
             request.granted_at = self.env.now
             request.succeed()
+
+
+def process_per_txn_worker_loop(self):
+    """``BenchmarkClient._worker_loop`` with one child process per transaction."""
+    while True:
+        txn = yield self._queue.get()
+        engine = _resolve_engine(self.engine)
+        yield self.env.process(engine.execute(txn))
+        self.stats.completed += 1
+        self.trace.record(self.series, self.env.now, txn.latency)
+
+
+def process_per_txn_user_loop(self):
+    """``ClosedBenchmarkClient._user_loop`` with one child process per transaction."""
+    while self._running:
+        txn = self.factory.build(arrived_at=self.env.now)
+        self.stats.arrived += 1
+        engine = _resolve_engine(self.engine)
+        yield self.env.process(engine.execute(txn))
+        self.stats.completed += 1
+        self.trace.record(self.series, self.env.now, txn.latency)
+        if self.think_time > 0:
+            yield self.env.timeout(self.think_time)
+
+
+def assert_fleet_records_match(fast, reference) -> None:
+    """Equal ``FleetRecord``s, where the fast kernel granted some in place.
+
+    Every field must match, except that each grant ``fast`` continued in
+    place is counted in ``inline`` rather than ``events``.
+    """
+    assert reference.inline == 0
+    assert fast.events + fast.inline == reference.events
+    assert replace(fast, events=reference.events, inline=0) == reference

@@ -319,6 +319,29 @@ class TestRun:
         env.run()
         assert env.run(until=p) == 9
 
+    def test_run_until_already_failed_event_raises(self, env):
+        def proc(env):
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        p = env.process(proc(env))
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert p.processed and not p.ok
+        # Same outcome as waiting for it: the failure is raised, never
+        # handed back as the run's value.
+        with pytest.raises(ValueError, match="boom"):
+            env.run(until=p)
+
+    def test_run_until_pending_failing_event_raises(self, env):
+        def proc(env):
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        p = env.process(proc(env))
+        with pytest.raises(ValueError, match="boom"):
+            env.run(until=p)
+
     def test_run_drains_queue(self, env):
         env.timeout(1)
         env.timeout(2)
