@@ -156,7 +156,8 @@ def bench_fleet(nodes: int = 100, tenants: int = 1000) -> dict:
     the coalesced timers elided: ``events + elided_events`` is what the
     same bit-identical trajectory would have cost with one event per
     heartbeat/detector/refill tick.  ``inline_grants`` counts resource
-    grants that continued in place instead of costing an event.
+    grants and ``inline_holds`` CPU, disk and wire holds that continued
+    in place instead of costing an event.
     """
     points = fleet_sweep.sweep_points(None, nodes=nodes, tenants=tenants)
     drain = next(p for p in points if p.label == "drain")
@@ -176,6 +177,7 @@ def bench_fleet(nodes: int = 100, tenants: int = 1000) -> dict:
         "events_per_sec": round(record.events / seconds),
         "elided_events": record.elided,
         "inline_grants": record.inline,
+        "inline_holds": record.held,
         "event_reduction_pct": round(100.0 * record.elided / naive, 1)
         if naive else 0.0,
     }
@@ -296,7 +298,8 @@ def main() -> None:
             f"{fleet['elided_events']:,} ticks elided "
             f"({fleet['event_reduction_pct']:g}% fewer events than "
             f"one-event-per-tick), "
-            f"{fleet['inline_grants']:,} grants continued in place"
+            f"{fleet['inline_grants']:,} grants and "
+            f"{fleet['inline_holds']:,} holds continued in place"
         )
 
     append_record(Path(args.out), record)

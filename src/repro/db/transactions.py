@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ..resources.units import KB
@@ -22,16 +23,22 @@ __all__ = ["OpType", "Operation", "Transaction", "OperationCosts"]
 class OpType(enum.Enum):
     """Basic database operation kinds (a YCSB-style subset of SQL)."""
 
-    SELECT = "select"
-    UPDATE = "update"
-    INSERT = "insert"
-    DELETE = "delete"
-    SCAN = "scan"
+    #: True for operations that modify data (and hit the binlog).  A
+    #: plain per-member attribute: the engine reads it for every
+    #: operation.
+    is_write: bool
 
-    @property
-    def is_write(self) -> bool:
-        """True for operations that modify data (and hit the binlog)."""
-        return self in (OpType.UPDATE, OpType.INSERT, OpType.DELETE)
+    def __new__(cls, value: str, is_write: bool) -> "OpType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.is_write = is_write
+        return member
+
+    SELECT = "select", False
+    UPDATE = "update", True
+    INSERT = "insert", True
+    DELETE = "delete", True
+    SCAN = "scan", False
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,9 @@ class Transaction:
     #: Filled by the engine: pages read from disk while executing.
     pages_read: int = field(default=0)
 
-    @property
+    @cached_property
     def write_count(self) -> int:
-        """Number of write operations in the transaction."""
+        """Number of write operations in the transaction (counted once)."""
         return sum(1 for op in self.operations if op.op_type.is_write)
 
     @property

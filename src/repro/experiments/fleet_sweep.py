@@ -101,6 +101,10 @@ class FleetRecord:
     #: event (``events + inline`` is the one-event-per-grant cost).
     #: Excluded from ``fingerprint`` like ``events`` and ``elided``.
     inline: int = 0
+    #: Holds that advanced time in place instead of costing a timeout
+    #: event (``events + inline + held`` is the one-event-per-hold
+    #: cost).  Excluded from ``fingerprint`` like ``inline``.
+    held: int = 0
     #: Observability snapshot when run with ``observe=True``; excluded
     #: from ``fingerprint`` (watching must not change the trajectory).
     report: Optional[RunReport] = None
@@ -337,6 +341,7 @@ def fleet_point(
         events=env.processed_events,
         elided=env.elided_events,
         inline=env.inline_grants,
+        held=env.inline_holds,
         report=report,
     )
 

@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="slackerlint: determinism & units linter for the Slacker "
-        "reproduction (per-file rules SLK001-SLK010, project rules "
-        "SLK101-SLK105).",
+        "reproduction (per-file rules SLK001-SLK012, project rules "
+        "SLK101-SLK108).",
     )
     parser.add_argument(
         "paths",

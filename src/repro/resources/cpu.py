@@ -88,7 +88,9 @@ class Cpu:
             if grant.callbacks is not None:  # else granted in place
                 yield grant
             burst = self.burst_time(mean_seconds)
-            yield self.env.timeout(burst)
+            hold = self.env.hold(burst)
+            if hold is not None:  # else the burst ended in place
+                yield hold
             self.stats.bursts += 1
             self.stats.busy_time += burst
         finally:

@@ -204,7 +204,9 @@ class Disk:
             stats = self.stats
             stats.queue_time += env.now - queued_at
             service = self._service(nbytes, sequential, stream, cached)
-            yield env.timeout(service)
+            hold = env.hold(service)
+            if hold is not None:  # else the service ended in place
+                yield hold
             stats.busy_time += service
             self._count(nbytes, sequential, is_write, cached)
         finally:

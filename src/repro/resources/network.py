@@ -82,12 +82,16 @@ class NetworkLink:
             if grant.callbacks is not None:  # else granted in place
                 yield grant
             serialization = nbytes / self.params.bandwidth
-            yield self.env.timeout(serialization)
+            hold = self.env.hold(serialization)
+            if hold is not None:  # else serialization ended in place
+                yield hold
             self.stats.busy_time += serialization
         finally:
             wire.release(grant)
         # Propagation happens off the wire (pipelined with later sends).
         if self.params.latency > 0:
-            yield self.env.timeout(self.params.latency)
+            hold = self.env.hold(self.params.latency)
+            if hold is not None:
+                yield hold
         self.stats.transfers += 1
         self.stats.bytes_sent += nbytes

@@ -414,6 +414,7 @@ class Environment:
         "_processed",
         "_elided",
         "_inline",
+        "_held",
         "_fanout",
     )
 
@@ -434,8 +435,10 @@ class Environment:
         self._elided = 0
         #: Grants that continued in place (see :attr:`inline_grants`).
         self._inline = 0
+        #: Holds that continued in place (see :attr:`inline_holds`).
+        self._held = 0
         #: True while one event is dispatched to several callbacks, or
-        #: through :meth:`step`; no grant continues in place meanwhile.
+        #: through :meth:`step`; nothing continues in place meanwhile.
         self._fanout = False
 
     @property
@@ -489,23 +492,70 @@ class Environment:
         """
         return self._inline
 
-    def _next_in_place(self) -> bool:
-        """True when an event scheduled at ``now`` would be processed next.
+    @property
+    def inline_holds(self) -> int:
+        """Holds that advanced time in place instead of scheduling a timeout.
 
-        All four must hold: a process is active; the event that resumed
-        it is the last entry of the bucket at ``now``; no urgent event
-        is due at or before ``now``; and that event is not being
-        dispatched to several callbacks.
+        Each one is a :meth:`hold` whose timeout the kernel would have
+        processed next anyway.  ``processed_events + inline_grants +
+        inline_holds`` is what the same trajectory costs when every
+        grant and every hold is an event.  Kept apart from
+        :attr:`inline_grants` and :attr:`elided_events`.
+        """
+        return self._held
+
+    def _next_in_place(self, delay: float = 0.0) -> bool:
+        """True when an event scheduled ``delay`` from now would be processed next.
+
+        All of these must hold: a process is active; nothing is queued at
+        ``now`` after the event that resumed it (the bucket at ``now``
+        is absent, or that event is its last entry); that event is not
+        being dispatched to several callbacks; and nothing else is due
+        by ``now + delay`` — no urgent event at or before it (a
+        ``run(until=t)`` stop included), and every live bucket strictly
+        after it, since a new event would queue behind an equal time.
+        An absent bucket at ``now`` means an empty instant: the run
+        loop keeps a bucket in the dict while it walks it, and
+        :meth:`step` sets ``_fanout``.
         """
         process = self._active_process
         if process is None or self._fanout:
             return False
-        now = self._now
-        bucket = self._buckets.get(now)
-        if not bucket or bucket[-1] is not process._target:
+        buckets = self._buckets
+        bucket = buckets.get(self._now)
+        if bucket and bucket[-1] is not process._target:
             return False
+        time = self._now + delay
         urgent = self._urgent
-        return not urgent or urgent[0][0] > now
+        if urgent and urgent[0][0] <= time:
+            return False
+        times = self._times
+        while times and times[0] not in buckets:
+            _heappop(times)  # stale duplicate: bucket already drained
+        return not times or times[0] > time
+
+    def hold(self, delay: float) -> Optional[Timeout]:
+        """Pass ``delay`` time units in the active process.
+
+        When ``timeout(delay)`` would be the very next event processed
+        (:meth:`_next_in_place`), time advances in place: ``now``
+        becomes ``now + delay``, the float the timeout would fire at,
+        :attr:`inline_holds` counts it, and ``None`` comes back.
+        Otherwise the scheduled timeout comes back, exactly as
+        :meth:`timeout` builds it.
+
+        The caller must yield a returned timeout before it does
+        anything else, and skip the yield on ``None``::
+
+            hold = env.hold(delay)
+            if hold is not None:
+                yield hold
+        """
+        if delay >= 0 and self._next_in_place(delay):
+            self._now += delay
+            self._held += 1
+            return None
+        return self.timeout(delay)
 
     # -- event factories -------------------------------------------------
 

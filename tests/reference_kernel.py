@@ -58,6 +58,11 @@ class HeapEnvironment(Environment):
     fixture: ``tests/test_calendar_queue.py`` replays the same seeds
     through an :class:`Environment` and a :class:`HeapEnvironment` and
     asserts identical trajectories.  Not used by any experiment path.
+
+    It never continues in place: every grant and every hold is a
+    scheduled event, so its ``processed_events`` is the full cost the
+    fast kernel's ``processed_events + inline_grants + inline_holds``
+    must match.
     """
 
     __slots__ = ("_heap_queue",)
@@ -69,6 +74,14 @@ class HeapEnvironment(Environment):
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def hold(self, delay: float) -> Timeout:
+        """Always a scheduled timeout, whatever the fast kernel decides."""
+        return self.timeout(delay)
+
+    def _next_in_place(self, delay: float = 0.0) -> bool:
+        """Never: every grant on this kernel is a scheduled event."""
+        return False
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Create an event that triggers at absolute time ``when``."""
@@ -256,12 +269,19 @@ def process_per_txn_user_loop(self):
             yield self.env.timeout(self.think_time)
 
 
-def assert_fleet_records_match(fast, reference) -> None:
-    """Equal ``FleetRecord``s, where the fast kernel granted some in place.
+def assert_fleet_records_match(fast, reference, *, heap: bool = True) -> None:
+    """Equal ``FleetRecord``s, where ``fast`` continued some events in place.
 
-    Every field must match, except that each grant ``fast`` continued in
-    place is counted in ``inline`` rather than ``events``.
+    Every field must match, except how the kernel events split: each
+    grant ``fast`` continued in place is counted in ``inline`` and each
+    hold in ``held`` rather than in ``events``, so only the totals must
+    be equal.  The reference never grants in place; on the
+    ``HeapEnvironment`` (``heap=True``) it never holds in place either.
     """
     assert reference.inline == 0
-    assert fast.events + fast.inline == reference.events
-    assert replace(fast, events=reference.events, inline=0) == reference
+    if heap:
+        assert reference.held == 0
+    total = reference.events + reference.held
+    assert fast.events + fast.inline + fast.held == total
+    costs = dict(events=0, inline=0, held=0)
+    assert replace(fast, **costs) == replace(reference, **costs)

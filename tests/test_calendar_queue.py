@@ -16,8 +16,8 @@ Two layers of evidence:
 * whole-experiment A/B replays of real sweep points — fig5 throttle,
   chaos fault injection, fleet drain — asserting the full result
   records (fingerprints included) are equal.  ``HeapEnvironment``
-  never continues a grant in place, so its event count is the calendar
-  queue's ``events + inline``.
+  never continues a grant or a hold in place, so its event count is
+  the calendar queue's ``events + inline + held``.
 """
 
 from __future__ import annotations

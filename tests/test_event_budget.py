@@ -1,0 +1,95 @@
+"""Pinned kernel event counts for one point of each experiment family.
+
+Event counts are deterministic: the same seed processes the same
+events, grants the same resources in place and holds the same bursts
+in place on every host.  So they are pinned exactly, and a change that
+adds kernel events to a fig5, chaos or fleet-drain point fails here
+instead of going unnoticed in a wall-clock benchmark.
+
+The sum of the three counts is what the same trajectory costs when
+every grant and every hold is an event, so it moves only when the
+trajectory itself does; the split moves when the kernel gets cheaper.
+
+A change that removes events on purpose updates these numbers and says
+so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+from repro.core.config import CASE_STUDY, EVALUATION
+from repro.experiments import harness as harness_mod
+from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.common import scaled_config
+from repro.experiments.fleet_sweep import fleet_point
+from repro.experiments.harness import MigrationSpec
+from repro.parallel.tasks import single_tenant_point
+from repro.resources.units import mb_per_sec
+from repro.simulation import Environment
+
+
+def _counts(env):
+    return env.processed_events, env.inline_grants, env.inline_holds
+
+
+def _harness_counts(point):
+    """Run ``point()`` and return the event counts of the env it built."""
+    made = []
+
+    class Recorded(Environment):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    original = harness_mod.Environment
+    harness_mod.Environment = Recorded
+    try:
+        point()
+    finally:
+        harness_mod.Environment = original
+    (env,) = made
+    return _counts(env)
+
+
+def _fig5_config():
+    return scaled_config(CASE_STUDY, 0.06, None), MigrationSpec.fixed(mb_per_sec(8))
+
+
+def test_fig5_throttle_point():
+    cfg, spec = _fig5_config()
+    counts = _harness_counts(
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+    )
+    assert counts == (1933, 913, 1348)
+
+
+def test_chaos_fault_injection_point():
+    cfg, spec = _fig5_config()
+    counts = _harness_counts(
+        lambda: chaos_point(
+            cfg,
+            spec,
+            label="drop-20",
+            messages={"drop_prob": 0.20, "dup_prob": 0.05},
+            warmup=2.0,
+            run_limit=120.0,
+        )
+    )
+    assert counts == (2854, 1099, 1675)
+
+
+def test_fleet_drain_point():
+    record = fleet_point(
+        scaled_config(EVALUATION, 0.125, 11),
+        MigrationSpec.dynamic(1.0),
+        label="drain",
+        scenario="drain",
+        nodes=4,
+        tenants=12,
+        warmup=10.0,
+        run_limit=400.0,
+    )
+    assert record.ok
+    counts = (record.events, record.inline, record.held)
+    assert counts == (802, 1943, 1980)
