@@ -1,30 +1,38 @@
-"""Seeded chaos fuzzer: hundreds of random fault plans vs. the invariants.
+"""Chaos fuzzer: fault plans vs. the invariant battery.
 
-The chaos *sweep* checks a dozen hand-picked scenarios; this module
-searches the space instead.  Each schedule seed deterministically
-expands into a random :class:`~repro.faults.FaultPlan` — partition
-windows (including source↔controller links that starve lease
-renewals), node crashes, NIC collapses, backup aborts, message soups,
-and controller outages — which is then run through the same hardened
-single-tenant migration as the sweep, but driven through
+Each run is the paper's fundamental case — one tenant migrated from
+``source`` to ``target`` — on a hardened, leased control plane (retry
+policy on the bus, heartbeats, a suspect-grace failure detector) while
+a :class:`~repro.faults.FaultPlan` mistreats it: partition windows
+(including source↔controller links that starve lease renewals), node
+crashes, NIC collapses, backup aborts, message soups, and controller
+outages.  The migration is driven through
 :class:`~repro.placement.executor.WaveExecutor` so the slack-budget
 ledger participates and its release invariant is checkable.
+
+A schedule seed deterministically expands into a random plan
+(``--schedules``), or ``--plan PATH`` runs fixed plans from JSON files
+in the reproducer format: the scenario library in
+``tests/chaos_plans/`` and the minimized reproducers written here.
 
 After every run the full invariant battery fires: exactly-once
 tenancy, no handover committed under a stale/expired fencing token, no
 budget reservation leaked, rollback leaves the source consistent, and
-latency accounting conserved.  A failing schedule is **shrunk**: fault
-atoms are greedily removed one at a time, keeping a removal whenever
-the violation persists, until no single atom can be dropped — the
-minimized reproducer (plus the schedule seed that replays the original
-bit-identically) is emitted as JSON.
+latency accounting conserved.  A failing seeded schedule is **shrunk**:
+fault atoms are greedily removed one at a time, keeping a removal
+whenever the violation persists, until no single atom can be dropped —
+the minimized reproducer is emitted as JSON and replays with
+``--plan``.
 
-The plan is a pure function of ``schedule_seed`` (drawn from the named
-``fuzz:plans`` stream), and a run is a pure function of
-(config seed, plan), so every failure replays exactly::
+A seeded plan is a pure function of ``schedule_seed`` (drawn from the
+named ``fuzz:plans`` stream), and a run is a pure function of
+(config seed, plan), so every run replays exactly; ``--check`` replays
+the whole batch serially with observation off and compares
+fingerprints::
 
     python -m repro.experiments.chaos_fuzz --schedules 100 --jobs 4 --check
-    python -m repro.experiments.chaos_fuzz --replay 17   # one schedule, verbose
+    python -m repro.experiments.chaos_fuzz --plan tests/chaos_plans --jobs 2 --check
+    python -m repro.experiments.chaos_fuzz --plan fuzz_repros/fuzz-0005.repro.json
 """
 
 from __future__ import annotations
@@ -35,13 +43,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 from ..core.config import CASE_STUDY, ExperimentConfig
 from ..faults import FaultInjector
 from ..faults.invariants import check_invariants, plan_from_kwargs
 from ..middleware.transport import RetryPolicy
-from ..obs import Observability
+from ..obs import Observability, RunReport
 from ..parallel import SweepPoint, SweepRunner
 from ..placement.budget import SlackBudgetLedger
 from ..placement.executor import WaveExecutor
@@ -55,6 +64,7 @@ __all__ = [
     "generate_plan",
     "fuzz_point",
     "fuzz_points",
+    "plan_points",
     "run",
     "shrink",
     "reproducer",
@@ -74,10 +84,11 @@ _EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class FuzzRecord:
-    """Compact, picklable outcome of one fuzzed schedule."""
+    """Compact, picklable outcome of one chaos run."""
 
     label: str
-    #: Seed the plan was expanded from (replays bit-identically).
+    #: Seed the plan was expanded from (replays bit-identically); 0
+    #: for a fixed plan file without one.
     schedule_seed: int
     #: "completed", "aborted", "skipped", or "wedged".
     outcome: str
@@ -90,6 +101,9 @@ class FuzzRecord:
     atoms: int
     counters: tuple[tuple[str, float], ...]
     sim_end: float
+    #: Observability snapshot when run with ``observe=True``; excluded
+    #: from ``fingerprint``, which must not depend on who was watching.
+    report: Optional[RunReport] = None
 
     @property
     def ok(self) -> bool:
@@ -231,12 +245,14 @@ def fuzz_point(
     fluid_chunks: int = 0,
     observe: bool = False,
 ) -> FuzzRecord:
-    """One fuzzed schedule: leased cluster + random plan + invariants.
+    """One chaos run: leased cluster + fault plan + invariant checks.
 
-    Unlike :func:`~repro.experiments.chaos_sweep.chaos_point`, the
-    migration is driven through :class:`WaveExecutor.execute_serial`
-    with a dedicated :class:`SlackBudgetLedger`, so "every reservation
-    released" is part of the checked surface.  ``controller_down``
+    ``messages``, ``scheduled`` and ``partitions`` are plain dicts (so
+    points pickle), rehydrated into a :class:`FaultPlan` here.  The
+    migration is driven through
+    :class:`WaveExecutor.execute_serial` with a dedicated
+    :class:`SlackBudgetLedger`, so "every reservation released" is
+    part of the checked surface.  ``controller_down``
     models a fail-stop controller outage (leases starve, holders must
     self-fence).  ``break_fencing=True`` disables the self-fence gate
     on every node — the deliberate bug the fuzzer must catch and
@@ -244,6 +260,8 @@ def fuzz_point(
     demonstration flag.  ``fluid_chunks > 0`` migrates through the
     fluid chunked path instead of live, adding the exactly-once
     chunk-ownership battery to the checked invariants.
+    ``observe=True`` fills ``record.report``; the fingerprint does not
+    change, since observation is read-only.
     """
     plan = plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
     streams = RandomStreams(config.seed)
@@ -374,6 +392,7 @@ def fuzz_point(
         atoms=_atom_count(messages, scheduled, partitions, controller_down),
         counters=counter_pairs,
         sim_end=env.now,
+        report=obs.run_report(config, spec) if obs is not None else None,
     )
 
 
@@ -388,9 +407,11 @@ def fuzz_points(
     first_schedule: int = 0,
     break_fencing: bool = False,
     fluid_chunks: int = 0,
+    observe: bool = False,
 ) -> list[SweepPoint]:
     """One sweep point per schedule seed, plans pre-expanded in the parent."""
     cfg = scaled_config(config or CASE_STUDY, scale, seed)
+    extra = {"observe": True} if observe else {}
     points = []
     for schedule_seed in range(first_schedule, first_schedule + schedules):
         kwargs = generate_plan(schedule_seed)
@@ -408,6 +429,41 @@ def fuzz_points(
                     # omitted when 0 so legacy points keep their cache keys
                     **({"fluid_chunks": fluid_chunks} if fluid_chunks else {}),
                     **kwargs,
+                    **extra,
+                },
+            )
+        )
+    return points
+
+
+def plan_points(path: str, observe: bool = False) -> list[SweepPoint]:
+    """One sweep point per fixed-plan JSON file at ``path``.
+
+    ``path`` is a file or a directory of ``*.json`` files (read in name
+    order).  Each file is in the :func:`reproducer` format: its
+    ``minimal_plan`` runs at the file's own ``scale`` and
+    ``config_seed``, under the file's ``label``.
+    """
+    root = Path(path)
+    files = sorted(root.glob("*.json")) if root.is_dir() else [root]
+    if not files:
+        raise ValueError(f"no plan files at {path}")
+    extra = {"observe": True} if observe else {}
+    points = []
+    for file in files:
+        data = json.loads(file.read_text())
+        points.append(
+            SweepPoint(
+                label=data["label"],
+                config=scaled_config(CASE_STUDY, data["scale"], data["config_seed"]),
+                spec=None,
+                task=FUZZ_TASK,
+                kwargs={
+                    "label": data["label"],
+                    "schedule_seed": data.get("schedule_seed", 0),
+                    # The plan's keys are fuzz_point's own arguments.
+                    **data["minimal_plan"],
+                    **extra,
                 },
             )
         )
@@ -555,6 +611,7 @@ def _plan_payload(kwargs: dict) -> dict:
             else None
         ),
         "break_fencing": bool(kwargs.get("break_fencing", False)),
+        "fluid_chunks": int(kwargs.get("fluid_chunks", 0)),
     }
 
 
@@ -571,7 +628,8 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero on any invariant violation",
+        help="exit non-zero on any invariant violation, or if a serial "
+        "replay without observability changes any fingerprint",
     )
     parser.add_argument(
         "--break-fencing",
@@ -587,7 +645,22 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
         "chunks (0 = live migration), adding the exactly-once "
         "chunk-ownership battery to the checked invariants",
     )
+    parser.add_argument(
+        "--plan",
+        type=str,
+        default=None,
+        help="run the fixed plan of this reproducer-format JSON file, or "
+        "of every *.json file in this directory, at each file's own "
+        "scale and config seed, instead of seeded schedules",
+    )
     parser.add_argument("--out", type=str, default=None, help="write JSON report")
+    parser.add_argument(
+        "--obs-out",
+        type=str,
+        default=None,
+        help="run with observability attached and write one "
+        "<label>.report.json per run into this directory",
+    )
     parser.add_argument(
         "--repro-out",
         type=str,
@@ -595,36 +668,63 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
         help="directory for minimized-reproducer JSON files",
     )
     args = parser.parse_args(argv)
+    if args.plan and (args.break_fencing or args.fluid_chunks):
+        parser.error("--plan takes --break-fencing and --fluid-chunks from each file")
 
-    cfg = scaled_config(CASE_STUDY, args.scale, args.seed)
-    records = run(
-        schedules=args.schedules,
-        scale=args.scale,
-        seed=args.seed,
-        first_schedule=args.first_schedule,
-        jobs=args.jobs,
-        break_fencing=args.break_fencing,
-        fluid_chunks=args.fluid_chunks,
-    )
+    def points(observe: bool) -> list[SweepPoint]:
+        if args.plan:
+            return plan_points(args.plan, observe=observe)
+        return fuzz_points(
+            args.schedules,
+            scale=args.scale,
+            seed=args.seed,
+            first_schedule=args.first_schedule,
+            break_fencing=args.break_fencing,
+            fluid_chunks=args.fluid_chunks,
+            observe=observe,
+        )
+
+    records = SweepRunner(jobs=args.jobs).run_labelled(points(args.obs_out is not None))
 
     outcomes: dict[str, int] = {}
     for rec in records.values():
         outcomes[rec.outcome] = outcomes.get(rec.outcome, 0) + 1
     failures = {label: rec for label, rec in records.items() if not rec.ok}
     print(
-        f"chaos fuzz: {len(records)} schedules, outcomes {outcomes}, "
-        f"{len(failures)} invariant failure(s)"
+        f"chaos fuzz: {len(records)} {'plans' if args.plan else 'schedules'}, "
+        f"outcomes {outcomes}, {len(failures)} invariant failure(s)"
     )
 
-    repros = {}
+    if args.obs_out:
+        os.makedirs(args.obs_out, exist_ok=True)
+        for label, rec in records.items():
+            rec.report.write(os.path.join(args.obs_out, f"{label}.report.json"))
+
+    diverged = []
+    if args.check:
+        # The batch must be a pure function of (seed, plan), regardless
+        # of job count and of whether observability was attached.
+        replay = SweepRunner(jobs=1).run_labelled(points(observe=False))
+        diverged = [
+            label
+            for label, rec in records.items()
+            if replay[label].fingerprint != rec.fingerprint
+        ]
+        for label in diverged:
+            print(f"REPLAY DIVERGED: {label}", file=sys.stderr)
+
+    cfg = scaled_config(CASE_STUDY, args.scale, args.seed)
     for label, rec in sorted(failures.items()):
+        if args.plan:
+            # A plan file is already minimal or hand-written: report it.
+            print(f"  {label}: {'; '.join(rec.violations)}")
+            continue
         kwargs = dict(generate_plan(rec.schedule_seed))
         kwargs["break_fencing"] = args.break_fencing
         if args.fluid_chunks:
             kwargs["fluid_chunks"] = args.fluid_chunks
         minimal, min_rec, runs = shrink(cfg, kwargs)
         payload = reproducer(cfg, rec, kwargs, minimal, min_rec, args.scale)
-        repros[label] = payload
         print(
             f"  {label}: {rec.atoms} atoms -> {min_rec.atoms} "
             f"({runs} shrink runs): {'; '.join(min_rec.violations)}"
@@ -634,7 +734,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
             path = os.path.join(args.repro_out, f"{label}.repro.json")
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
-            print(f"  wrote {path}")
+            print(f"  wrote {path} (replay with --plan {path})")
 
     if args.out:
         payload = {
@@ -645,6 +745,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
                 "fingerprint": rec.fingerprint,
                 "atoms": rec.atoms,
                 "sim_end": rec.sim_end,
+                "counters": dict(rec.counters),
             }
             for label, rec in records.items()
         }
@@ -653,8 +754,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
 
     if args.check and failures:
         print(f"invariant violations in: {sorted(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if args.check and (failures or diverged) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -154,7 +154,7 @@ def fleet_point(
     picks the driver: ``"drain"`` evacuates the first node,
     ``"rebalance"`` runs the autonomous manager loop against the hot
     node.  ``scheduled`` injects faults (dict-tuples as in the chaos
-    sweep) on a hardened control plane — the drain-under-crash case.
+    fuzzer) on a hardened control plane — the drain-under-crash case.
     """
     if scenario not in ("drain", "rebalance"):
         raise ValueError(f"scenario must be 'drain' or 'rebalance', got {scenario!r}")
@@ -184,7 +184,7 @@ def fleet_point(
             scheduled=tuple(ScheduledFault(**dict(s)) for s in scheduled),
         )
         injector = FaultInjector(env, plan, streams).attach(cluster)
-        # Same liveness tuning as the chaos sweep: the detector horizon
+        # Same liveness tuning as the chaos fuzzer: the detector horizon
         # (interval * miss_threshold = 1.5 s) must exceed the heartbeat
         # period or every peer reads as perpetually silent.
         cluster.start_heartbeats(0.5)

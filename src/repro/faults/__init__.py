@@ -4,7 +4,7 @@
 scheduled node/NIC/disk/backup faults); ``FaultInjector`` binds a plan
 to one cluster and one RNG stream so chaos runs replay bit-identically
 from their seed.  See ``docs/FAULTS.md`` for the fault model, rollback
-semantics, and the invariants the chaos sweep checks.
+semantics, and the invariants the chaos fuzzer checks.
 """
 
 from .injector import FaultInjector, FaultStats, MessageFate

@@ -6,7 +6,7 @@ frontend agreeing with the registries, a consistent source after a
 completion or a rollback, conserved latency accounting, no handover
 committed under an invalid lease and no lease left held, plus the
 fluid chunk-ownership battery when a fluid migration ran.  The chaos
-sweep and the chaos fuzzer both call it.
+fuzzer calls it after every run.
 """
 
 from __future__ import annotations

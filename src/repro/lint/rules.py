@@ -696,8 +696,8 @@ class EagerPeriodicLoopRule(Rule):
     can keep the ticker trivially (``yield ticker.tick()`` each pass),
     so the rule still points it at the API; suppress with
     ``# slackerlint: disable=SLK011`` where the eager form is load-
-    bearing (e.g. the throttle's own ``coalesce=False`` reference
-    path).
+    bearing (e.g. the heartbeat loop, whose interval is measured from
+    send completion rather than on a tick grid).
     """
 
     id = "SLK011"

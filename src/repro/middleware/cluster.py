@@ -231,7 +231,7 @@ class SlackerCluster:
     def tenant_census(self) -> dict[int, list[str]]:
         """tenant_id -> names of nodes whose registry holds it.
 
-        The exactly-once invariant the chaos sweep asserts: every
+        The exactly-once invariant the chaos fuzzer asserts: every
         tenant appears on exactly one node, crash or no crash.
         """
         census: dict[int, list[str]] = {}

@@ -22,9 +22,10 @@ kernel events.  The settlement replays the *exact* per-tick float
 arithmetic of the eager loop — chained tick timestamps via
 :class:`~repro.simulation.timers.PeriodicTicker` and per-tick
 ``min(capacity, level + rate * tick)`` deposits — so grant times,
-amounts, and stats are identical to the eager loop's; the eager loop
-is kept (``coalesce=False``) as the reference implementation for the
-equivalence tests in ``tests/test_coalesced_timers.py``.
+amounts, and stats are identical to the eager loop's.  The eager loop
+lives on as a test oracle (``EagerThrottle`` in
+``tests/reference_kernel.py``) for the equivalence tests in
+``tests/test_coalesced_timers.py``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class Throttle:
         rate: float,
         bucket_bytes: float = DEFAULT_BUCKET_BYTES,
         tick: float = DEFAULT_TICK,
-        coalesce: bool = True,
     ):
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
@@ -80,17 +80,13 @@ class Throttle:
         self._start_time = env.now
         self._bucket = Container(env, capacity=bucket_bytes, init=0.0)
         self._running = True
-        self._coalesce = coalesce
-        if coalesce:
-            #: Conceptual tick clock; ``next_time`` is the first
-            #: *unsettled* tick.  Ticks strictly before ``env.now`` are
-            #: always settled before any state is read or changed.
-            self._ticker = PeriodicTicker(env, tick)
-            #: Service process, alive only while requests are blocked
-            #: and the rate is positive (see :meth:`_service_loop`).
-            self._service = None
-        else:
-            env.process(self._refill_loop())
+        #: Conceptual tick clock; ``next_time`` is the first
+        #: *unsettled* tick.  Ticks strictly before ``env.now`` are
+        #: always settled before any state is read or changed.
+        self._ticker = PeriodicTicker(env, tick)
+        #: Service process, alive only while requests are blocked and
+        #: the rate is positive (see :meth:`_service_loop`).
+        self._service = None
 
     @property
     def rate(self) -> float:
@@ -100,15 +96,14 @@ class Throttle:
     @property
     def level(self) -> float:
         """Unused credit currently in the bucket, bytes."""
-        if self._coalesce:
-            self._settle(inclusive=True)
+        self._settle(inclusive=True)
         return self._bucket.level
 
     def set_rate(self, rate: float) -> None:
         """Change the rate on the fly (0 pauses the stream)."""
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if self._coalesce and self._running:
+        if self._running:
             # Ticks strictly before now accrued at the old rate; a tick
             # at exactly `now` uses the new rate (rate setters — the
             # PID controller, migration startup — run ahead of the tick
@@ -120,7 +115,7 @@ class Throttle:
         if changed:
             self.stats.rate_changes += 1
         self._rate = float(rate)
-        if self._coalesce and self._running and changed:
+        if self._running and changed:
             self._reschedule_service()
 
     def average_rate(self) -> float:
@@ -142,25 +137,22 @@ class Throttle:
         remaining = float(nbytes)
         while remaining > 0:
             piece = min(remaining, self._bucket.capacity)
-            if self._coalesce:
-                self._settle(inclusive=True)
-                get_event = self._bucket.get(piece)
-                if get_event.callbacks is not None and not self._service_alive():
-                    # Blocked with no wakeup pending: start the service
-                    # process.  (If it is already alive this request
-                    # queued behind the head, whose wakeup is
-                    # unchanged — FIFO serve order.)
-                    self._reschedule_service()
-                yield get_event
-            else:
-                yield self._bucket.get(piece)
+            self._settle(inclusive=True)
+            get_event = self._bucket.get(piece)
+            if get_event.callbacks is not None and not self._service_alive():
+                # Blocked with no wakeup pending: start the service
+                # process.  (If it is already alive this request queued
+                # behind the head, whose wakeup is unchanged — FIFO
+                # serve order.)
+                self._reschedule_service()
+            yield get_event
             remaining -= piece
         self.stats.bytes_granted += int(nbytes)
         self.stats.grants += 1
 
     def stop(self) -> None:
-        """Shut down the refill process (end of migration)."""
-        if self._coalesce and self._running:
+        """Stop refilling (end of migration)."""
+        if self._running:
             self._settle(inclusive=False)
         self._account_rate_time()
         self._running = False
@@ -171,17 +163,6 @@ class Throttle:
         now = self.env.now
         self.stats.rate_seconds += self._rate * (now - self._rate_since)
         self._rate_since = now
-
-    def _refill_loop(self):
-        # Eager reference path (coalesce=False): one event per tick.
-        # This loop IS the behaviour the coalesced path must reproduce
-        # bit-for-bit, so it deliberately stays on the raw timeout API.
-        while self._running:
-            yield self.env.timeout(self.tick)  # slackerlint: disable=SLK011
-            if self._running and self._rate > 0:
-                self._bucket.put(self._rate * self.tick)
-
-    # -- coalesced path ----------------------------------------------------
 
     def _settle(self, inclusive: bool) -> None:
         """Apply every refill tick due by ``env.now``.

@@ -15,7 +15,10 @@ current fast path and demand identical trajectories:
 * :func:`process_per_txn_worker_loop` / :func:`process_per_txn_user_loop`
   — the open and closed benchmark clients' loops before transactions
   ran inline: each transaction in its own child ``Process``
-  (``tests/test_inline_transactions.py``).
+  (``tests/test_inline_transactions.py``);
+* :class:`EagerThrottle` — the throttle's eager refill loop, one kernel
+  event per tick, before refills were coalesced
+  (``tests/test_coalesced_timers.py``).
 
 Nothing under ``src/`` imports this module.
 """
@@ -27,6 +30,7 @@ import itertools
 from dataclasses import replace
 from typing import Any, Optional
 
+from repro.migration.throttle import Throttle
 from repro.simulation.core import (
     NORMAL,
     URGENT,
@@ -42,6 +46,7 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 __all__ = [
+    "EagerThrottle",
     "HeapEnvironment",
     "Request",
     "Resource",
@@ -267,6 +272,32 @@ def process_per_txn_user_loop(self):
         self.trace.record(self.series, self.env.now, txn.latency)
         if self.think_time > 0:
             yield self.env.timeout(self.think_time)
+
+
+class EagerThrottle(Throttle):
+    """:class:`~repro.migration.throttle.Throttle` refilled by one
+    kernel event per tick.
+
+    The refill loop deposits every tick as it falls due, so there is
+    nothing to settle and no grant wakeup to schedule: both hooks of
+    the coalesced path are no-ops here.
+    """
+
+    def __init__(self, env: Environment, rate: float, **kwargs):
+        super().__init__(env, rate, **kwargs)
+        env.process(self._refill_loop())
+
+    def _settle(self, inclusive: bool) -> None:
+        pass
+
+    def _reschedule_service(self) -> None:
+        pass
+
+    def _refill_loop(self):
+        while self._running:
+            yield self.env.timeout(self.tick)
+            if self._running and self._rate > 0:
+                self._bucket.put(self._rate * self.tick)
 
 
 def assert_fleet_records_match(fast, reference, *, heap: bool = True) -> None:

@@ -27,7 +27,7 @@ import random
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.experiments import harness as harness_mod
 from repro.experiments import fleet_sweep
-from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
@@ -179,12 +179,10 @@ class TestABExperimentReplay:
 
     def test_chaos_fault_injection_point(self):
         cfg = scaled_config(CASE_STUDY, 0.06, None)
-        spec = MigrationSpec.fixed(mb_per_sec(8))
 
         def point():
-            return chaos_point(
+            return fuzz_point(
                 cfg,
-                spec,
                 label="drop-20",
                 messages={"drop_prob": 0.20, "dup_prob": 0.05},
                 warmup=2.0,

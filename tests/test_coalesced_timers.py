@@ -13,9 +13,9 @@ detectors, `migration/throttle.py` refills, `placement/monitor.py`,
   and are accounted in ``env.elided_events`` so
   ``processed + elided`` reconstructs the eager cost.
 
-The throttle keeps its eager loop alive behind ``coalesce=False``
-precisely so these tests can replay the same scenario through both
-paths and diff the trajectories.
+The throttle's eager loop is kept as ``EagerThrottle`` in
+``tests/reference_kernel.py`` precisely so these tests can replay the
+same scenario through both paths and diff the trajectories.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import pytest
 from repro.migration.throttle import Throttle
 from repro.resources.units import MB
 from repro.simulation import Environment, PeriodicTicker
+
+from reference_kernel import EagerThrottle
 
 
 class TestPeriodicTicker:
@@ -106,11 +108,11 @@ class TestPeriodicTicker:
         assert env.elided_events == 14
 
 
-def _throttle_scenario(coalesce: bool):
+def _throttle_scenario(throttle_cls):
     """One migration-shaped throttle life: acquire bursts, rate changes
     mid-stream, a pause, a resume, and a long idle tail."""
     env = Environment()
-    throttle = Throttle(env, rate=10 * MB, coalesce=coalesce)
+    throttle = throttle_cls(env, rate=10 * MB)
     grants = []
 
     def consumer():
@@ -154,14 +156,14 @@ def _throttle_scenario(coalesce: bool):
 
 class TestThrottleEagerVsCoalesced:
     def test_trajectories_are_bit_identical(self):
-        eager = _throttle_scenario(coalesce=False)
-        lazy = _throttle_scenario(coalesce=True)
+        eager = _throttle_scenario(EagerThrottle)
+        lazy = _throttle_scenario(Throttle)
         for key in ("grants", "levels", "end", "stats", "average_rate"):
             assert lazy[key] == eager[key], key
 
     def test_coalesced_path_processes_fewer_events(self):
-        eager = _throttle_scenario(coalesce=False)
-        lazy = _throttle_scenario(coalesce=True)
+        eager = _throttle_scenario(EagerThrottle)
+        lazy = _throttle_scenario(Throttle)
         assert lazy["processed"] < eager["processed"]
         assert eager["elided"] == 0
         # The elided ticks account for (at least) the missing events;

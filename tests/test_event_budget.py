@@ -3,7 +3,7 @@
 Event counts are deterministic: the same seed processes the same
 events, grants the same resources in place and holds the same bursts
 in place on every host.  So they are pinned exactly, and a change that
-adds kernel events to a fig5, chaos or fleet-drain point fails here
+adds kernel events to a fig5, chaos-fuzz or fleet-drain point fails here
 instead of going unnoticed in a wall-clock benchmark.
 
 The sum of the three counts is what the same trajectory costs when
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.experiments import harness as harness_mod
-from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
@@ -65,18 +65,17 @@ def test_fig5_throttle_point():
 
 
 def test_chaos_fault_injection_point():
-    cfg, spec = _fig5_config()
+    cfg, _ = _fig5_config()
     counts = _harness_counts(
-        lambda: chaos_point(
+        lambda: fuzz_point(
             cfg,
-            spec,
             label="drop-20",
             messages={"drop_prob": 0.20, "dup_prob": 0.05},
             warmup=2.0,
             run_limit=120.0,
         )
     )
-    assert counts == (2854, 1099, 1675)
+    assert counts == (8407, 4588, 6467)
 
 
 def test_fleet_drain_point():

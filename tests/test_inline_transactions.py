@@ -18,7 +18,7 @@ import reference_kernel
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.db.engine import DatabaseEngine
 from repro.db.pages import TableLayout
-from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
@@ -58,11 +58,9 @@ class TestABExperimentReplay:
 
     def test_chaos_fault_injection_point(self):
         cfg = scaled_config(CASE_STUDY, 0.06, None)
-        spec = MigrationSpec.fixed(mb_per_sec(8))
         fast, reference = _ab(
-            lambda: chaos_point(
+            lambda: fuzz_point(
                 cfg,
-                spec,
                 label="drop-20",
                 messages={"drop_prob": 0.20, "dup_prob": 0.05},
                 warmup=2.0,

@@ -8,11 +8,12 @@ bit-identity guarantee, and the ``python -m repro.obs summarize`` CLI.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import CASE_STUDY
-from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.harness import MigrationSpec, run_single_tenant
 from repro.obs import (
@@ -263,22 +264,21 @@ class TestChaosObservation:
     def test_fingerprint_unchanged_by_observation(self):
         kwargs = dict(
             config=TINY,
-            spec=MigrationSpec.fixed(2 * 1000 * 1000),
             label="obs-check",
             warmup=3.0,
             run_limit=120.0,
         )
-        plain = chaos_point(**kwargs)
-        watched = chaos_point(observe=True, **kwargs)
+        plain = fuzz_point(**kwargs)
+        watched = fuzz_point(observe=True, **kwargs)
         assert watched.fingerprint == plain.fingerprint
+        assert replace(watched, report=None) == plain
         assert plain.report is None
         assert watched.report is not None
         assert watched.report.counter(names.TRANSPORT_SENDS_TOTAL) > 0
 
     def test_fault_activations_surface_in_report(self):
-        record = chaos_point(
+        record = fuzz_point(
             config=TINY,
-            spec=MigrationSpec.fixed(2 * 1000 * 1000),
             label="faulty",
             scheduled=(
                 {"at": 4.0, "kind": "nic_stall", "node": "target",

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 import reference_kernel
 from reference_kernel import assert_fleet_records_match
 from repro.core.config import CASE_STUDY, EVALUATION
-from repro.experiments.chaos_sweep import chaos_point
+from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
@@ -323,11 +323,9 @@ class TestABExperimentReplay:
 
     def test_chaos_fault_injection_point(self):
         cfg = scaled_config(CASE_STUDY, 0.06, None)
-        spec = MigrationSpec.fixed(mb_per_sec(8))
         fast, reference = _ab(
-            lambda: chaos_point(
+            lambda: fuzz_point(
                 cfg,
-                spec,
                 label="drop-20",
                 messages={"drop_prob": 0.20, "dup_prob": 0.05},
                 warmup=2.0,
