@@ -19,15 +19,15 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
 from ..resources.server import Server
 from ..resources.units import MB, PAGE_SIZE
 from ..simulation import Environment, Event
-from .buffer_pool import BufferPool
+from .buffer_pool import AccessResult, BufferPool
 from .log import BinaryLog
 from .pages import TableLayout
-from .transactions import Operation, OperationCosts, OpType, Transaction
+from .transactions import Operation, OperationCosts, Transaction
 
 __all__ = ["EngineState", "FreezeMode", "EngineStats", "DatabaseEngine"]
 
@@ -228,7 +228,7 @@ class DatabaseEngine:
             cpu_cost += self.costs.cpu_per_write
         yield from self.server.cpu.execute(cpu_cost)
 
-        if op.op_type is OpType.SCAN:
+        if op.op_type.is_scan:
             pages = self.layout.pages_of_scan(op.key, op.scan_length)
         else:
             pages = (self.layout.page_of(op.key),)
@@ -244,14 +244,23 @@ class DatabaseEngine:
             )
         self.stats.operations += 1
 
-    def _access_page(self, txn: Transaction, page_id: int, write: bool) -> Generator:
+    def _access_page(self, txn: Transaction, page_id: int, write: bool) -> Iterable:
         """Touch one page: pool access plus whatever disk work it implies.
 
-        Subclasses override this to change where missing pages come
-        from (e.g. the on-demand-pull baseline fetches them from a
-        remote source instead of the local disk).
+        A pool hit implies none and returns ``()``; a miss returns a
+        process generator for the write-back and the read.  Consume the
+        result at once with ``yield from``.  Subclasses override this to
+        change where missing pages come from (e.g. the on-demand-pull
+        baseline fetches them from a remote source instead of the local
+        disk).
         """
         result = self.buffer_pool.access(page_id, write=write)
+        if result.hit:
+            return ()
+        return self._page_in(txn, result)
+
+    def _page_in(self, txn: Transaction, result: AccessResult) -> Generator:
+        """Process: the disk work of a pool miss."""
         if result.writeback_page is not None:
             yield from self.server.disk.write(PAGE_SIZE)
         if result.read_page is not None:

@@ -23,6 +23,9 @@ DEFAULT_ROW_SIZE = 1 * KB
 class TableLayout:
     """Maps row keys of one table onto fixed-size pages.
 
+    ``rows_per_page`` is derived from the row and page sizes once, at
+    construction.
+
     >>> layout = TableLayout(num_rows=1024, row_size=1024)
     >>> layout.rows_per_page
     16
@@ -43,6 +46,12 @@ class TableLayout:
             raise ValueError(
                 f"row_size {self.row_size} must be in (0, page_size={self.page_size}]"
             )
+        # Rows packed into one page.  Read on every key lookup, so it is
+        # a plain attribute computed once, not a property (and not a
+        # field: equality, repr and config hashes see the same three).
+        object.__setattr__(
+            self, "rows_per_page", max(1, self.page_size // self.row_size)
+        )
 
     @classmethod
     def for_data_size(
@@ -56,11 +65,6 @@ class TableLayout:
             raise ValueError(f"data_bytes must be positive, got {data_bytes}")
         num_rows = max(1, data_bytes // row_size)
         return cls(num_rows=num_rows, row_size=row_size)
-
-    @property
-    def rows_per_page(self) -> int:
-        """Rows packed into one page."""
-        return max(1, self.page_size // self.row_size)
 
     @property
     def num_pages(self) -> int:

@@ -31,7 +31,7 @@ from .buffer_pool import BufferPool
 from .engine import EngineState
 from .log import BinaryLog
 from .pages import TableLayout
-from .transactions import Operation, OperationCosts, OpType, Transaction
+from .transactions import Operation, OperationCosts, Transaction
 
 __all__ = [
     "SharedTenant",
@@ -180,7 +180,7 @@ class SharedProcessEngine:
             cpu_cost += self.costs.cpu_per_write
         yield from self.server.cpu.execute(cpu_cost)
 
-        if op.op_type is OpType.SCAN:
+        if op.op_type.is_scan:
             pages = tenant.layout.pages_of_scan(op.key, op.scan_length)
         else:
             pages = [tenant.layout.page_of(op.key)]

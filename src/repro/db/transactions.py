@@ -13,11 +13,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..resources.units import KB
 
 __all__ = ["OpType", "Operation", "Transaction", "OperationCosts"]
+
+_new_tuple = tuple.__new__
 
 
 class OpType(enum.Enum):
@@ -27,37 +29,50 @@ class OpType(enum.Enum):
     #: plain per-member attribute: the engine reads it for every
     #: operation.
     is_write: bool
+    #: True for range scans, the only kind that touches several rows.
+    #: A per-member attribute for the same reason as ``is_write``.
+    is_scan: bool
 
-    def __new__(cls, value: str, is_write: bool) -> "OpType":
+    def __new__(cls, value: str, is_write: bool, is_scan: bool = False) -> "OpType":
         member = object.__new__(cls)
         member._value_ = value
         member.is_write = is_write
+        member.is_scan = is_scan
         return member
 
     SELECT = "select", False
     UPDATE = "update", True
     INSERT = "insert", True
     DELETE = "delete", True
-    SCAN = "scan", False
+    SCAN = "scan", False, True
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One basic operation within a transaction."""
-
+class _OperationFields(NamedTuple):
     op_type: OpType
     #: Target row key (for SCAN: the starting key).
     key: int
     #: Number of rows touched (only > 1 for SCAN).
     scan_length: int = 1
 
-    def __post_init__(self) -> None:
-        if self.key < 0:
-            raise ValueError(f"key must be >= 0, got {self.key}")
-        if self.scan_length < 1:
-            raise ValueError(f"scan_length must be >= 1, got {self.scan_length}")
-        if self.scan_length > 1 and self.op_type is not OpType.SCAN:
+
+class Operation(_OperationFields):
+    """One basic operation within a transaction.
+
+    An immutable named tuple ``(op_type, key, scan_length)``, validated
+    on construction.  Every transaction is built from ten of them, so
+    construction is one checked ``tuple.__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, op_type: OpType, key: int, scan_length: int = 1) -> "Operation":
+        if key < 0:
+            raise ValueError(f"key must be >= 0, got {key}")
+        if scan_length < 1:
+            raise ValueError(f"scan_length must be >= 1, got {scan_length}")
+        if scan_length > 1 and not op_type.is_scan:
             raise ValueError("scan_length > 1 is only valid for SCAN operations")
+        return _new_tuple(cls, (op_type, key, scan_length))
 
 
 @dataclass

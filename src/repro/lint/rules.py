@@ -26,6 +26,7 @@ __all__ = [
     "DynamicMetricNameRule",
     "EagerPeriodicLoopRule",
     "UnconsumedHoldRule",
+    "UnconsumedServiceRule",
 ]
 
 #: Call targets that read the wall clock (dotted names after import
@@ -876,3 +877,92 @@ def _is_hold_call(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "hold"
     )
+
+
+#: Resource services that do their work when called (see
+#: :class:`UnconsumedServiceRule`): method name -> pattern the receiver's
+#: own name must match.  ``_access_page`` is the engine's page access,
+#: which touches the buffer pool when called, on any receiver.
+SERVICE_RECEIVERS = {
+    "execute": re.compile(r"cpu", re.IGNORECASE),
+    "read": re.compile(r"disk", re.IGNORECASE),
+    "write": re.compile(r"disk", re.IGNORECASE),
+    "transfer": re.compile(r"nic|link", re.IGNORECASE),
+    "_access_page": re.compile(r""),
+}
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func: ast.AST):
+    """Nodes of ``func``'s body, not descending into nested scopes."""
+    stack: list[ast.AST] = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_service_call(node: ast.AST) -> bool:
+    """A call of a service method on a receiver named for its device."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    pattern = SERVICE_RECEIVERS.get(node.func.attr)
+    if pattern is None:
+        return False
+    receiver = node.func.value
+    if isinstance(receiver, ast.Attribute):
+        name = receiver.attr
+    elif isinstance(receiver, ast.Name):
+        name = receiver.id
+    else:
+        return False
+    return pattern.search(name) is not None
+
+
+@register
+class UnconsumedServiceRule(Rule):
+    """SLK013: a resource-service call in a process not consumed by ``yield from``.
+
+    ``Cpu.execute``, ``Disk.read``/``write``, ``NetworkLink.transfer``
+    and the engine's ``_access_page`` do their work when called: a
+    service that fits before the next event runs there and returns
+    ``()``; otherwise it returns a generator that finishes the work —
+    possibly holding a unit it claimed at the call.  Inside a process
+    (a generator function) the only safe shape is therefore::
+
+        yield from cpu.execute(cost)
+
+    in the same statement as the call.  A stored result runs the work
+    early, a returned or ``env.process``-ed one runs the rest of it in
+    another process or never, and a generator that is never run never
+    releases its unit.  Calls outside a process are exempt: a plain
+    function that returns a service hands the contract to its own
+    caller (as ``Disk.read`` does), and at the top level a service is
+    always a generator that does all of its work once run.  Receivers
+    are matched by name (``cpu``, ``disk``, ``nic``/``link``).
+    """
+
+    id = "SLK013"
+    summary = "resource-service call in a process not consumed by `yield from` at once"
+
+    def visit_Module(self, node: ast.Module) -> None:
+        for func in ast.walk(node):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(_own_nodes(func))
+            if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes):
+                continue  # not a process
+            consumed = {
+                id(n.value) for n in nodes if isinstance(n, ast.YieldFrom)
+            }
+            for sub in nodes:
+                if _is_service_call(sub) and id(sub) not in consumed:
+                    self.report(
+                        sub,
+                        f"`.{sub.func.attr}(...)` in a process must be consumed "
+                        "by `yield from` in the same statement: the service "
+                        "does its work when called and may hold a unit the "
+                        "returned generator releases",
+                    )

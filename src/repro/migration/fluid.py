@@ -43,7 +43,7 @@ from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
 from ..db.engine import DatabaseEngine, EngineState
-from ..db.transactions import OpType, Transaction
+from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import PAGE_SIZE
 from ..simulation import Environment, Event, Interrupt, Process
@@ -257,7 +257,7 @@ class FluidRouter:
     # -- transaction execution --------------------------------------------
 
     def _pages_of(self, op) -> list[int]:
-        if op.op_type is OpType.SCAN:
+        if op.op_type.is_scan:
             return self.layout.pages_of_scan(op.key, op.scan_length)
         return [self.layout.page_of(op.key)]
 

@@ -24,7 +24,7 @@ This module implements that baseline so the claim can be measured:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from ..db.engine import DatabaseEngine
 from ..db.transactions import Transaction
@@ -72,22 +72,27 @@ class PartialReplicaEngine(DatabaseEngine):
         if self.completed_at is None and len(self.present) == self.layout.num_pages:
             self.completed_at = self.env.now
 
-    def _access_page(self, txn: Transaction, page_id: int, write: bool) -> Generator:
+    def _access_page(self, txn: Transaction, page_id: int, write: bool) -> Iterable:
         if page_id not in self.present:
-            started = self.env.now
-            # Remote pull: source-side random read, the wire, local write.
-            yield from self.source.server.disk.read(PAGE_SIZE)
-            yield from self.source.server.nic_out.transfer(PAGE_SIZE)
-            yield from self.server.disk.write(PAGE_SIZE)
-            self.remote_fetch_time += self.env.now - started
-            if page_id not in self.present:
-                self.mark_present(page_id)
-                self.remote_fetches += 1
-            else:
-                # The pusher delivered it while our transfer was in
-                # flight: the latency was paid, but the page must only
-                # be counted once for conservation.
-                self.redundant_fetches += 1
+            return self._pull(txn, page_id, write)
+        return super()._access_page(txn, page_id, write)
+
+    def _pull(self, txn: Transaction, page_id: int, write: bool) -> Generator:
+        """Process: fetch a missing page from the source, then touch it."""
+        started = self.env.now
+        # Remote pull: source-side random read, the wire, local write.
+        yield from self.source.server.disk.read(PAGE_SIZE)
+        yield from self.source.server.nic_out.transfer(PAGE_SIZE)
+        yield from self.server.disk.write(PAGE_SIZE)
+        self.remote_fetch_time += self.env.now - started
+        if page_id not in self.present:
+            self.mark_present(page_id)
+            self.remote_fetches += 1
+        else:
+            # The pusher delivered it while our transfer was in
+            # flight: the latency was paid, but the page must only
+            # be counted once for conservation.
+            self.redundant_fetches += 1
         yield from super()._access_page(txn, page_id, write)
 
 

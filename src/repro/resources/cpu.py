@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
-from ..simulation import Environment, Resource, default_rng
+from ..simulation import Environment, Request, Resource, default_rng
 
 __all__ = ["CpuParams", "CpuStats", "Cpu"]
 
@@ -80,14 +80,55 @@ class Cpu:
             return self.rng.expovariate(1.0 / mean_seconds)
         return mean_seconds
 
-    def execute(self, mean_seconds: float, priority: int = 0) -> Generator:
-        """Process: occupy one core for a burst of roughly ``mean_seconds``."""
+    def execute(self, mean_seconds: float, priority: int = 0) -> Iterable:
+        """Occupy one core for a burst of roughly ``mean_seconds``.
+
+        Consume the result at once with ``yield from`` inside a process.
+        When a core is free and the whole burst ends before the next
+        event the kernel would process, the burst runs here: ``now``
+        advances past it and ``()`` comes back.  Otherwise a process
+        generator that finishes the burst comes back.  Outside a
+        process it is always a generator, which does all of the work
+        once it runs.
+        """
         cores = self._cores
-        grant = cores.request(priority)
+        horizon = cores.claim_in_place()
+        if horizon is None:
+            return self._burst(mean_seconds, priority)
+        burst = self.burst_time(mean_seconds)
+        env = self.env
+        end = env._now + burst
+        if horizon > end:
+            env._now = end
+            env._held += 1
+            stats = self.stats
+            stats.bursts += 1
+            stats.busy_time += burst
+            return ()
+        return self._burst(mean_seconds, priority, cores.occupy(priority), burst)
+
+    def _burst(
+        self,
+        mean_seconds: float,
+        priority: int,
+        grant: Optional[Request] = None,
+        burst: Optional[float] = None,
+    ) -> Generator:
+        """Process: the part of :meth:`execute` that waits on the kernel.
+
+        Without ``grant`` it requests a core first and then draws the
+        burst.  With one (a core :meth:`execute` claimed in place) the
+        drawn ``burst`` ends past the horizon, so its hold is a
+        scheduled timeout.
+        """
+        cores = self._cores
+        if grant is None:
+            grant = cores.request(priority)
         try:
             if grant.callbacks is not None:  # else granted in place
                 yield grant
-            burst = self.burst_time(mean_seconds)
+            if burst is None:
+                burst = self.burst_time(mean_seconds)
             hold = self.env.hold(burst)
             if hold is not None:  # else the burst ended in place
                 yield hold

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
-from ..simulation import Environment, Resource, default_rng
+from ..simulation import Environment, Request, Resource, default_rng
 from .units import MB
 
 __all__ = ["DiskParams", "DiskStats", "Disk"]
@@ -127,8 +127,12 @@ class Disk:
         sequential: bool = False,
         stream: Optional[str] = None,
         priority: int = 0,
-    ) -> Generator:
-        """Process: read ``nbytes`` (queue on the arm, then transfer)."""
+    ) -> Iterable:
+        """Read ``nbytes`` (queue on the arm, then transfer).
+
+        Consume the result at once with ``yield from`` inside a process
+        (see :meth:`_access`).
+        """
         return self._access(
             nbytes, sequential, stream, is_write=False, cached=False, priority=priority
         )
@@ -140,8 +144,8 @@ class Disk:
         stream: Optional[str] = None,
         cached: bool = False,
         priority: int = 0,
-    ) -> Generator:
-        """Process: write ``nbytes``.
+    ) -> Iterable:
+        """Write ``nbytes``; consume it like :meth:`read`.
 
         ``cached=True`` models a write absorbed by the drive's write
         cache (used for group-commit log flushes): transfer time only,
@@ -191,19 +195,64 @@ class Disk:
         is_write: bool,
         cached: bool,
         priority: int,
-    ) -> Generator:
+    ) -> Iterable:
+        """Queue on the arm, then serve; ``()`` when it all ran in place.
+
+        The contract of :meth:`~repro.resources.cpu.Cpu.execute`: with
+        the arm free and the service ending before the next event the
+        kernel would process, the access runs here and ``()`` comes
+        back; otherwise a process generator that finishes it.
+        """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        env = self.env
-        queued_at = env.now
         arm = self._arm
-        grant = arm.request(priority)
+        horizon = arm.claim_in_place()
+        if horizon is None:
+            return self._serve(nbytes, sequential, stream, is_write, cached, priority)
+        service = self._service(nbytes, sequential, stream, cached)
+        env = self.env
+        end = env._now + service
+        if horizon > end:
+            env._now = end
+            env._held += 1
+            self.stats.busy_time += service
+            self._count(nbytes, sequential, is_write, cached)
+            return ()
+        return self._serve(
+            nbytes, sequential, stream, is_write, cached, priority,
+            arm.occupy(priority), service,
+        )
+
+    def _serve(
+        self,
+        nbytes: int,
+        sequential: bool,
+        stream: Optional[str],
+        is_write: bool,
+        cached: bool,
+        priority: int,
+        grant: Optional[Request] = None,
+        service: Optional[float] = None,
+    ) -> Generator:
+        """Process: the part of :meth:`_access` that waits on the kernel.
+
+        Without ``grant`` it queues on the arm first and then draws the
+        service.  With one (the arm :meth:`_access` claimed in place)
+        the drawn ``service`` ends past the horizon, so its hold is a
+        scheduled timeout.
+        """
+        env = self.env
+        arm = self._arm
+        queued_at = env.now
+        if grant is None:
+            grant = arm.request(priority)
         try:
             if grant.callbacks is not None:  # else granted in place
                 yield grant
             stats = self.stats
             stats.queue_time += env.now - queued_at
-            service = self._service(nbytes, sequential, stream, cached)
+            if service is None:
+                service = self._service(nbytes, sequential, stream, cached)
             hold = env.hold(service)
             if hold is not None:  # else the service ended in place
                 yield hold

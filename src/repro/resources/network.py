@@ -11,9 +11,9 @@ and target" extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
-from ..simulation import Environment, Resource
+from ..simulation import Environment, Request, Resource
 from .units import MB
 
 __all__ = ["NetworkParams", "NetworkStats", "NetworkLink"]
@@ -72,12 +72,52 @@ class NetworkLink:
         """Transfers waiting for the wire."""
         return self._wire.queue_length
 
-    def transfer(self, nbytes: int, priority: int = 0) -> Generator:
-        """Process: push ``nbytes`` through this link direction."""
+    def transfer(self, nbytes: int, priority: int = 0) -> Iterable:
+        """Push ``nbytes`` through this link direction.
+
+        The contract of :meth:`~repro.resources.cpu.Cpu.execute`: with
+        the wire free and serialization and propagation both ending
+        before the next event the kernel would process, the transfer
+        runs here and ``()`` comes back; otherwise a process generator
+        that finishes it.
+        """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         wire = self._wire
-        grant = wire.request(priority)
+        horizon = wire.claim_in_place()
+        if horizon is None:
+            return self._send(nbytes, priority)
+        serialization = nbytes / self.params.bandwidth
+        env = self.env
+        sent = env._now + serialization
+        if not horizon > sent:
+            return self._send(nbytes, priority, wire.occupy(priority))
+        env._now = sent
+        env._held += 1
+        self.stats.busy_time += serialization
+        latency = self.params.latency
+        if latency > 0:
+            arrived = sent + latency
+            if not horizon > arrived:
+                return self._propagate(nbytes)
+            env._now = arrived
+            env._held += 1
+        self.stats.transfers += 1
+        self.stats.bytes_sent += nbytes
+        return ()
+
+    def _send(
+        self, nbytes: int, priority: int, grant: Optional[Request] = None
+    ) -> Generator:
+        """Process: the part of :meth:`transfer` that waits on the kernel.
+
+        Without ``grant`` it queues for the wire first; with one (the
+        wire :meth:`transfer` claimed in place) serialization ends past
+        the horizon, so its hold is a scheduled timeout.
+        """
+        wire = self._wire
+        if grant is None:
+            grant = wire.request(priority)
         try:
             if grant.callbacks is not None:  # else granted in place
                 yield grant
@@ -88,7 +128,10 @@ class NetworkLink:
             self.stats.busy_time += serialization
         finally:
             wire.release(grant)
-        # Propagation happens off the wire (pipelined with later sends).
+        yield from self._propagate(nbytes)
+
+    def _propagate(self, nbytes: int) -> Generator:
+        """Process: propagation, off the wire (pipelined with later sends)."""
         if self.params.latency > 0:
             hold = self.env.hold(self.params.latency)
             if hold is not None:

@@ -33,6 +33,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+_INF = float("inf")
+_NEG_INF = float("-inf")
+
 __all__ = [
     "Environment",
     "Event",
@@ -504,41 +507,44 @@ class Environment:
         """
         return self._held
 
-    def _next_in_place(self, delay: float = 0.0) -> bool:
-        """True when an event scheduled ``delay`` from now would be processed next.
+    def _horizon(self) -> float:
+        """Time of the next other event the run loop would process.
 
-        All of these must hold: a process is active; nothing is queued at
-        ``now`` after the event that resumed it (the bucket at ``now``
-        is absent, or that event is its last entry); that event is not
-        being dispatched to several callbacks; and nothing else is due
-        by ``now + delay`` — no urgent event at or before it (a
-        ``run(until=t)`` stop included), and every live bucket strictly
-        after it, since a new event would queue behind an equal time.
-        An absent bucket at ``now`` means an empty instant: the run
-        loop keeps a bucket in the dict while it walks it, and
-        :meth:`step` sets ``_fanout``.
+        Work the active process does in place must end strictly before
+        it: an event scheduled at ``t`` is processed next, ahead of
+        everything already queued, exactly when ``_horizon() > t``.
+        ``-inf`` means nothing may continue in place: no process is
+        active; the event that resumed it is being dispatched to
+        several callbacks (or through :meth:`step`); or something is
+        queued at ``now`` behind that event (the bucket at ``now`` is
+        present and that event is not its last entry).  An absent
+        bucket at ``now`` means an empty instant: the run loop keeps a
+        bucket in the dict while it walks it.  Otherwise it is the
+        earliest urgent event (a ``run(until=t)`` stop included) or
+        live bucket, whichever comes first, and ``inf`` when neither
+        exists.
         """
         process = self._active_process
         if process is None or self._fanout:
-            return False
+            return _NEG_INF
         buckets = self._buckets
         bucket = buckets.get(self._now)
         if bucket and bucket[-1] is not process._target:
-            return False
-        time = self._now + delay
-        urgent = self._urgent
-        if urgent and urgent[0][0] <= time:
-            return False
+            return _NEG_INF
         times = self._times
         while times and times[0] not in buckets:
             _heappop(times)  # stale duplicate: bucket already drained
-        return not times or times[0] > time
+        horizon = times[0] if times else _INF
+        urgent = self._urgent
+        if urgent and urgent[0][0] < horizon:
+            return urgent[0][0]
+        return horizon
 
     def hold(self, delay: float) -> Optional[Timeout]:
         """Pass ``delay`` time units in the active process.
 
         When ``timeout(delay)`` would be the very next event processed
-        (:meth:`_next_in_place`), time advances in place: ``now``
+        (``_horizon() > now + delay``), time advances in place: ``now``
         becomes ``now + delay``, the float the timeout would fire at,
         :attr:`inline_holds` counts it, and ``None`` comes back.
         Otherwise the scheduled timeout comes back, exactly as
@@ -551,7 +557,7 @@ class Environment:
             if hold is not None:
                 yield hold
         """
-        if delay >= 0 and self._next_in_place(delay):
+        if delay >= 0 and self._horizon() > self._now + delay:
             self._now += delay
             self._held += 1
             return None

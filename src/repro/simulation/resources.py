@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any
+from typing import Any, Optional
 
 from .core import _PENDING, Environment, Event
 
@@ -96,18 +96,62 @@ class Resource:
         """Number of requests waiting for capacity."""
         return len(self._queue)
 
+    def claim_in_place(self) -> Optional[float]:
+        """Claim a free unit when its grant would be the next event processed.
+
+        With a unit free and the kernel's
+        :meth:`~repro.simulation.core.Environment._horizon` after
+        ``now``, the grant that :meth:`request` would schedule is
+        processed next anyway: it is counted in
+        :attr:`~repro.simulation.core.Environment.inline_grants`, the
+        caller holds the unit from here on, and the horizon comes back
+        — the caller's use of the unit may continue in place for as long
+        as it ends before it.  Otherwise ``None`` comes back and nothing
+        is claimed.
+
+        The unit is recorded only if the caller must wait on an event
+        while it holds it (:meth:`occupy`); a use that ends before the
+        horizon needs no record, since nothing else runs in between.
+        """
+        if len(self.users) < self.capacity:
+            env = self.env
+            horizon = env._horizon()
+            if horizon > env._now:
+                env._inline += 1
+                return horizon
+        return None
+
+    def occupy(self, priority: int = 0) -> Request:
+        """Record a unit claimed by :meth:`claim_in_place` as a granted request.
+
+        The request comes back already processed; release it with
+        :meth:`release` like any other grant.
+        """
+        request = _new_event(Request)
+        request.env = self.env
+        request.callbacks = None
+        request._defused = False
+        request._ok = True
+        request._value = None
+        request.resource = self
+        request.priority = priority
+        request.granted_at = self.env._now
+        self.users.append(request)
+        return request
+
     def request(self, priority: int = 0) -> Request:
         """Claim one unit of capacity; the returned event fires when granted.
 
         A grant is scheduled at the current time, exactly where
         ``succeed()`` would schedule it — unless that event would be
-        the very next one processed anyway.  Then the grant comes back
-        already processed and the caller continues in place (counted in
-        :attr:`~repro.simulation.core.Environment.inline_grants`).  The
-        caller must yield the grant, or skip the yield when
-        ``grant.callbacks is None``, before it schedules anything else
-        at this instant.
+        the very next one processed anyway (:meth:`claim_in_place`).
+        Then the grant comes back already processed and the caller
+        continues in place.  The caller must yield the grant, or skip
+        the yield when ``grant.callbacks is None``, before it schedules
+        anything else at this instant.
         """
+        if self.claim_in_place() is not None:
+            return self.occupy(priority)
         env = self.env
         request = _new_event(Request)
         request.env = env
@@ -121,11 +165,7 @@ class Resource:
             request.granted_at = env._now
             request._ok = True
             request._value = None
-            if env._next_in_place():
-                request.callbacks = None
-                env._inline += 1
-            else:
-                env._schedule(request)
+            env._schedule(request)
         else:
             request.granted_at = None
             request._ok = None

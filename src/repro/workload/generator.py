@@ -25,7 +25,7 @@ from math import log as _log
 from typing import Optional, Protocol
 
 from ..db.pages import TableLayout
-from ..db.transactions import Operation, OpType, Transaction
+from ..db.transactions import Operation, Transaction
 from .distributions import KeyChooser
 from .mix import OperationMix, SLACKER_MIX
 
@@ -75,15 +75,16 @@ class TransactionFactory:
         """Draw one operation from the mix."""
         op_type = self.mix.sample(self.rng)
         key = self.chooser.choose() % self.layout.num_rows
-        if op_type is OpType.SCAN:
+        if op_type.is_scan:
             length = self.rng.randint(1, self.max_scan_length)
             length = min(length, self.layout.num_rows - key)
-            return Operation(op_type, key, scan_length=max(1, length))
+            return Operation(op_type, key, max(1, length))
         return Operation(op_type, key)
 
     def build(self, arrived_at: Optional[float] = None) -> Transaction:
         """Build one transaction of ``ops_per_txn`` operations."""
-        operations = [self.build_operation() for _ in range(self.ops_per_txn)]
+        build_operation = self.build_operation
+        operations = [build_operation() for _ in range(self.ops_per_txn)]
         return Transaction(next(self._ids), operations, arrived_at=arrived_at)
 
 

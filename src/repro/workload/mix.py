@@ -49,6 +49,15 @@ class OperationMix:
         # Store normalized weights (frozen dataclass: use object.__setattr__).
         normalized = {op: w / total for op, w in self.weights.items()}
         object.__setattr__(self, "weights", normalized)
+        # The running sums sample() compares against, accumulated in
+        # weight order exactly as a per-draw walk would.  Not a field:
+        # equality, repr and config hashes see the weights alone.
+        cumulative = []
+        acc = 0.0
+        for op_type, weight in normalized.items():
+            acc += weight
+            cumulative.append((acc, op_type))
+        object.__setattr__(self, "_cumulative", tuple(cumulative))
 
     def weight(self, op_type: OpType) -> float:
         """Normalized probability of ``op_type`` in this mix."""
@@ -62,13 +71,10 @@ class OperationMix:
     def sample(self, rng: random.Random) -> OpType:
         """Draw one operation type."""
         u = rng.random()
-        acc = 0.0
-        ops = list(self.weights.items())
-        for op_type, weight in ops:
-            acc += weight
+        for acc, op_type in self._cumulative:
             if u < acc:
                 return op_type
-        return ops[-1][0]  # guard against floating-point shortfall
+        return self._cumulative[-1][1]  # guard against floating-point shortfall
 
 
 #: The paper's primary workload: 85 % reads, 15 % writes (Section 5.1.2).

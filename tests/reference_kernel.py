@@ -18,7 +18,11 @@ current fast path and demand identical trajectories:
   (``tests/test_inline_transactions.py``);
 * :class:`EagerThrottle` — the throttle's eager refill loop, one kernel
   event per tick, before refills were coalesced
-  (``tests/test_coalesced_timers.py``).
+  (``tests/test_coalesced_timers.py``);
+* :class:`GeneratorCpu` / :class:`GeneratorDisk` /
+  :class:`GeneratorNetworkLink` — the CPU, disk and NIC services before
+  they finished in place: each call a generator that does all of its
+  work once it runs (``tests/test_service_in_place.py``).
 
 Nothing under ``src/`` imports this module.
 """
@@ -28,9 +32,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Any, Generator, Optional
 
 from repro.migration.throttle import Throttle
+from repro.resources.cpu import Cpu
+from repro.resources.disk import Disk
+from repro.resources.network import NetworkLink
 from repro.simulation.core import (
     NORMAL,
     URGENT,
@@ -47,6 +54,9 @@ _heappop = heapq.heappop
 
 __all__ = [
     "EagerThrottle",
+    "GeneratorCpu",
+    "GeneratorDisk",
+    "GeneratorNetworkLink",
     "HeapEnvironment",
     "Request",
     "Resource",
@@ -80,13 +90,9 @@ class HeapEnvironment(Environment):
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def hold(self, delay: float) -> Timeout:
-        """Always a scheduled timeout, whatever the fast kernel decides."""
-        return self.timeout(delay)
-
-    def _next_in_place(self, delay: float = 0.0) -> bool:
-        """Never: every grant on this kernel is a scheduled event."""
-        return False
+    def _horizon(self) -> float:
+        """Never continue in place: every grant, hold and service is an event."""
+        return float("-inf")
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Create an event that triggers at absolute time ``when``."""
@@ -227,6 +233,10 @@ class Resource:
         """Release a granted request (alias usable without ``with``)."""
         self._do_release(request)
 
+    def claim_in_place(self) -> None:
+        """Never: every grant on this resource is a scheduled event."""
+        return None
+
     # -- internals --------------------------------------------------------
 
     def _do_request(self, request: Request) -> None:
@@ -249,6 +259,93 @@ class Resource:
             self.users.append(request)
             request.granted_at = self.env.now
             request.succeed()
+
+
+class GeneratorCpu(Cpu):
+    """:class:`~repro.resources.cpu.Cpu` whose bursts are always generators.
+
+    ``execute`` is the body from before services finished in place:
+    nothing happens until the generator runs, and every step goes
+    through ``Resource.request`` and ``Environment.hold``.
+    """
+
+    def execute(self, mean_seconds: float, priority: int = 0) -> Generator:
+        """Process: occupy one core for a burst of roughly ``mean_seconds``."""
+        cores = self._cores
+        grant = cores.request(priority)
+        try:
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
+            burst = self.burst_time(mean_seconds)
+            hold = self.env.hold(burst)
+            if hold is not None:  # else the burst ended in place
+                yield hold
+            self.stats.bursts += 1
+            self.stats.busy_time += burst
+        finally:
+            cores.release(grant)
+
+
+class GeneratorDisk(Disk):
+    """:class:`~repro.resources.disk.Disk` whose accesses are always generators."""
+
+    def _access(
+        self,
+        nbytes: int,
+        sequential: bool,
+        stream: Optional[str],
+        is_write: bool,
+        cached: bool,
+        priority: int,
+    ) -> Generator:
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        env = self.env
+        queued_at = env.now
+        arm = self._arm
+        grant = arm.request(priority)
+        try:
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
+            stats = self.stats
+            stats.queue_time += env.now - queued_at
+            service = self._service(nbytes, sequential, stream, cached)
+            hold = env.hold(service)
+            if hold is not None:  # else the service ended in place
+                yield hold
+            stats.busy_time += service
+            self._count(nbytes, sequential, is_write, cached)
+        finally:
+            arm.release(grant)
+
+
+class GeneratorNetworkLink(NetworkLink):
+    """:class:`~repro.resources.network.NetworkLink` whose transfers are
+    always generators."""
+
+    def transfer(self, nbytes: int, priority: int = 0) -> Generator:
+        """Process: push ``nbytes`` through this link direction."""
+        if nbytes < 0:
+            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        wire = self._wire
+        grant = wire.request(priority)
+        try:
+            if grant.callbacks is not None:  # else granted in place
+                yield grant
+            serialization = nbytes / self.params.bandwidth
+            hold = self.env.hold(serialization)
+            if hold is not None:  # else serialization ended in place
+                yield hold
+            self.stats.busy_time += serialization
+        finally:
+            wire.release(grant)
+        # Propagation happens off the wire (pipelined with later sends).
+        if self.params.latency > 0:
+            hold = self.env.hold(self.params.latency)
+            if hold is not None:
+                yield hold
+        self.stats.transfers += 1
+        self.stats.bytes_sent += nbytes
 
 
 def process_per_txn_worker_loop(self):

@@ -3,8 +3,9 @@
 Event counts are deterministic: the same seed processes the same
 events, grants the same resources in place and holds the same bursts
 in place on every host.  So they are pinned exactly, and a change that
-adds kernel events to a fig5, chaos-fuzz or fleet-drain point fails here
-instead of going unnoticed in a wall-clock benchmark.
+adds kernel events to a fig5, on-demand, fluid, chaos-fuzz or
+fleet-drain point fails here instead of going unnoticed in a wall-clock
+benchmark.
 
 The sum of the three counts is what the same trajectory costs when
 every grant and every hold is an event, so it moves only when the
@@ -62,6 +63,26 @@ def test_fig5_throttle_point():
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
     )
     assert counts == (1933, 913, 1348)
+
+
+def test_on_demand_point():
+    """Every transaction on the cold target runs ``PartialReplicaEngine._access_page``."""
+    cfg, _ = _fig5_config()
+    spec = MigrationSpec.on_demand(mb_per_sec(8))
+    counts = _harness_counts(
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+    )
+    assert counts == (18896, 9687, 16687)
+
+
+def test_fluid_point():
+    """Transactions during the migration run through the ``FluidRouter``."""
+    cfg, _ = _fig5_config()
+    spec = MigrationSpec.fluid(mb_per_sec(8))
+    counts = _harness_counts(
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+    )
+    assert counts == (1738, 908, 1306)
 
 
 def test_chaos_fault_injection_point():

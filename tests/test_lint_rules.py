@@ -812,3 +812,87 @@ class TestSLK012UnconsumedHold:
             "    yield env.hold(1.0)  # slackerlint: disable=SLK012\n"
         )
         assert "SLK012" not in rule_ids(src)
+
+
+class TestSLK013UnconsumedService:
+    def test_negative_yield_from_in_a_process(self):
+        src = (
+            "def op(self, txn, cost):\n"
+            "    yield from self.server.cpu.execute(cost)\n"
+            "    yield from self.server.disk.read(PAGE_SIZE, sequential=True)\n"
+            "    yield from self.source.server.nic_out.transfer(PAGE_SIZE)\n"
+            "    yield from engine._access_page(txn, 0, False)\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_negative_returned_outside_a_process(self):
+        src = (
+            "def read(self, nbytes):\n"
+            "    return self.disk.read(nbytes)\n"
+            "def setup(env, cpu):\n"
+            "    env.process(cpu.execute(1.0))\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_negative_other_receivers(self):
+        src = (
+            "def loop(self, txn, console, handle):\n"
+            "    yield from self.engine.execute(txn)\n"
+            "    console.execute('status')\n"
+            "    handle.read()\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_negative_nested_function_outside_the_process(self):
+        src = (
+            "def proc(env, disk):\n"
+            "    def start():\n"
+            "        return env.process(disk.read(4))\n"
+            "    yield env.timeout(1.0)\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_positive_passed_to_env_process(self):
+        src = (
+            "def noise(env, disk):\n"
+            "    while True:\n"
+            "        yield env.timeout(1.0)\n"
+            "        env.process(disk.read(16))\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_stored_then_consumed(self):
+        src = (
+            "def op(self, cost):\n"
+            "    work = self.server.cpu.execute(cost)\n"
+            "    self.stats.ops += 1\n"
+            "    yield from work\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_returned_from_a_process(self):
+        src = (
+            "def fetch(self):\n"
+            "    yield self.env.timeout(0)\n"
+            "    return self.link.transfer(8)\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_yielded_instead_of_yield_from(self):
+        src = "def burst(cpu):\n    yield cpu.execute(1.0)\n"
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_page_access_combined(self):
+        src = (
+            "def touch(env, engine, txn):\n"
+            "    yield env.all_of([env.process(engine._access_page(txn, 1, True))])\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_pragma_suppresses(self):
+        src = (
+            "def noise(env, disk):\n"
+            "    yield env.timeout(1.0)\n"
+            "    env.process(disk.read(16))  # slackerlint: disable=SLK013\n"
+        )
+        assert "SLK013" not in rule_ids(src)

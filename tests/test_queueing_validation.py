@@ -159,10 +159,15 @@ class TestDiskUtilization:
         rng = random.Random(9)
         total = 100 * MB
 
+        def one_read():
+            yield from disk.read(16 * 1024)
+
         def noise(env):
             while True:
                 yield env.timeout(rng.expovariate(60.0))
-                env.process(disk.read(16 * 1024))
+                # In its own process: a read called here would run in
+                # place, inside noise, and shift the Poisson arrivals.
+                env.process(one_read())
 
         def scan(env):
             done = 0
