@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ..simulation.trace import float_sum
 from .pid import PidGains
 
 __all__ = ["ziegler_nichols", "budget_setpoint", "RelayTuner", "RelayResult"]
@@ -183,7 +184,7 @@ class RelayTuner:
             return
         times = self._switch_up_times
         periods = [b - a for a, b in zip(times, times[1:])]
-        tu = sum(periods) / len(periods)
+        tu = float_sum(periods) / len(periods)
         amplitude = (self._pv_max - self._pv_min) / 2.0
         if amplitude <= 0 or tu <= 0:
             return

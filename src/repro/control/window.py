@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..simulation.trace import Series
+from ..simulation.trace import Series, float_sum
 
 __all__ = ["LatencyWindow", "DEFAULT_WINDOW", "DEFAULT_TIMESTEP"]
 
@@ -58,5 +58,5 @@ class LatencyWindow:
                 series.window_values(now - self.window, now, closed="both")
             )
         if values:
-            self._last_value = sum(values) / len(values)
+            self._last_value = float_sum(values) / len(values)
         return self._last_value

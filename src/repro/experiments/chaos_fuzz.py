@@ -38,7 +38,6 @@ fingerprints::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -57,7 +56,8 @@ from ..placement.executor import WaveExecutor
 from ..placement.policy import MigrationProposal
 from ..simulation import RandomStreams, Trace
 from .common import scaled_config
-from .harness import _build_cluster, attach_workload
+from .fingerprint import Run, trajectory_fingerprint
+from .harness import TenantOutcome, _build_cluster, attach_workload
 
 __all__ = [
     "FuzzRecord",
@@ -369,26 +369,18 @@ def fuzz_point(
         counters["fluid_foreign_serves"] = fluid_migration.router.foreign_serves
     counter_pairs = tuple(sorted(counters.items()))
 
-    series = trace.series("tenant-1")
-    digest = hashlib.sha256()
-    digest.update(
-        repr(
-            (
-                outcome,
-                counter_pairs,
-                tuple(series.times),
-                tuple(series.values),
-                env.now,
-            )
-        ).encode()
+    run = Run(
+        tenants=[TenantOutcome(1, trace.series("tenant-1"), client.stats.completed)],
+        sim_end=env.now,
     )
+    fingerprint = trajectory_fingerprint({"fuzz": run}, facts=(outcome, counter_pairs))
 
     return FuzzRecord(
         label=label,
         schedule_seed=schedule_seed,
         outcome=outcome,
         violations=tuple(violations),
-        fingerprint=digest.hexdigest(),
+        fingerprint=fingerprint,
         atoms=_atom_count(messages, scheduled, partitions, controller_down),
         counters=counter_pairs,
         sim_end=env.now,

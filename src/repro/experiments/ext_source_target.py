@@ -29,7 +29,7 @@ from ..core.config import EVALUATION, ExperimentConfig
 from ..middleware.cluster import SlackerCluster
 from ..middleware.node import NodeConfig
 from ..parallel import SweepPoint, SweepRunner
-from ..simulation import Environment, RandomStreams, Trace
+from ..simulation import Environment, RandomStreams, Trace, float_sum
 from .common import scaled_config
 from .harness import attach_workload
 
@@ -138,7 +138,7 @@ def _run_variant(
         values = trace.series(series_name).window_values(start, end)
         if not values:
             return math.nan
-        return sum(values) / len(values)
+        return float_sum(values) / len(values)
 
     return SourceTargetResult(
         both_ends=both_ends,

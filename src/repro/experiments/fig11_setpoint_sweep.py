@@ -28,6 +28,7 @@ from ..analysis.report import Table, format_ms, format_rate
 from ..core.config import EVALUATION, ExperimentConfig
 from ..parallel import ResultCache, SweepPoint, SweepRunner
 from ..resources.units import MB, mb_per_sec
+from ..simulation import float_sum
 from .common import scaled_config
 from .harness import ExperimentOutcome, MigrationSpec
 
@@ -87,7 +88,7 @@ def steady_state_latency(outcome: ExperimentOutcome, setpoint: float) -> float:
         values.extend(tenant.latency.window_values(cross, outcome.window_end))
     if not values:
         return math.nan
-    return sum(values) / len(values)
+    return float_sum(values) / len(values)
 
 
 @dataclass

@@ -27,7 +27,6 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from ..parallel.record import PointRecord
 from ..parallel.tasks import SINGLE_TENANT
 from ..resources.units import MB
 from .common import scaled_config
+from .fingerprint import trajectory_fingerprint
 from .fig5_throttle_sweep import PAPER_ANCHORS, Fig5Result
 from .fig5_throttle_sweep import run as run_fig5
 from .harness import MigrationSpec
@@ -220,36 +220,8 @@ class ExtendedFig7Result:
         return out
 
     def fingerprint(self) -> str:
-        """SHA-256 over every point's full latency trajectory."""
-        digest = hashlib.sha256()
-        for label in sorted(self.records):
-            rec = self.records[label]
-            migration = rec.migration
-            digest.update(
-                repr(
-                    (
-                        label,
-                        migration.kind,
-                        migration.duration,
-                        migration.downtime,
-                        migration.total_bytes,
-                        rec.window_start,
-                        rec.window_end,
-                    )
-                ).encode()
-            )
-            for tenant in rec.tenants:
-                digest.update(
-                    repr(
-                        (
-                            tenant.tenant_id,
-                            tenant.completed,
-                            tuple(tenant.latency.times),
-                            tuple(tenant.latency.values),
-                        )
-                    ).encode()
-                )
-        return digest.hexdigest()
+        """The trajectory fingerprint of every point in the sweep."""
+        return trajectory_fingerprint(self.records)
 
     def table(self) -> Table:
         table = Table(

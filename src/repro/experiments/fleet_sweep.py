@@ -32,7 +32,6 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -50,7 +49,8 @@ from ..placement import LatencyHotspotDetector, PlacementManager
 from ..resources.units import MB
 from ..simulation import Environment, RandomStreams, Trace
 from .common import scaled_config
-from .harness import MigrationSpec, attach_workload
+from .fingerprint import Run, trajectory_fingerprint
+from .harness import MigrationSpec, TenantOutcome, attach_workload
 
 __all__ = ["FleetRecord", "fleet_point", "sweep_points", "run", "main"]
 
@@ -288,7 +288,6 @@ def fleet_point(
             )
 
     # -- fingerprint -----------------------------------------------------
-    digest = hashlib.sha256()
     census_pairs = tuple(
         (tenant_id, tuple(hosts)) for tenant_id, hosts in sorted(census.items())
     )
@@ -304,14 +303,21 @@ def fleet_point(
         )
         for d in manager.stats.decisions
     )
-    digest.update(repr((scenario, census_pairs, decision_rows, env.now)).encode())
-    for client in clients:
-        series = trace.series(client.series)
-        digest.update(
-            repr((client.series, tuple(series.times), tuple(series.values))).encode()
-        )
-    if injector is not None:
-        digest.update(repr(sorted(injector.stats.counters().items())).encode())
+    fault_counters = (
+        sorted(injector.stats.counters().items()) if injector is not None else None
+    )
+    run = Run(
+        tenants=[
+            TenantOutcome(
+                client.series, trace.series(client.series), client.stats.completed
+            )
+            for client in clients
+        ],
+        sim_end=env.now,
+    )
+    fingerprint = trajectory_fingerprint(
+        {scenario: run}, facts=(census_pairs, decision_rows, fault_counters)
+    )
 
     report = None
     if obs is not None:
@@ -324,7 +330,7 @@ def fleet_point(
         label=label,
         scenario=scenario,
         violations=tuple(violations),
-        fingerprint=digest.hexdigest(),
+        fingerprint=fingerprint,
         nodes=nodes,
         tenants=tenants,
         migrations=manager.stats.migrations,

@@ -23,7 +23,7 @@ from ..middleware.cluster import SlackerCluster
 from ..middleware.node import NodeConfig
 from ..migration.result import MigrationResult
 from ..obs import Observability, RunReport
-from ..simulation import Environment, RandomStreams, Series, Trace
+from ..simulation import Environment, RandomStreams, Series, Trace, float_sum
 from ..workload.client import BenchmarkClient
 from ..workload.distributions import (
     HotspotChooser,
@@ -185,15 +185,15 @@ class PooledLatencyStats:
     @property
     def mean_latency(self) -> float:
         values = self.pooled_latencies()
-        return sum(values) / len(values) if values else math.nan
+        return float_sum(values) / len(values) if values else math.nan
 
     @property
     def latency_stddev(self) -> float:
         values = self.pooled_latencies()
         if not values:
             return math.nan
-        mu = sum(values) / len(values)
-        return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
+        mu = float_sum(values) / len(values)
+        return math.sqrt(float_sum((v - mu) ** 2 for v in values) / len(values))
 
     def latency_percentile(self, pct: float) -> float:
         values = self._sorted_latencies()
@@ -226,6 +226,8 @@ class ExperimentOutcome(PooledLatencyStats):
     extras: dict = field(default_factory=dict)
     #: Metrics/span snapshot when the run was observed (``observe=True``).
     run_report: Optional[RunReport] = None
+    #: Simulated time when the run ended (after the cooldown).
+    sim_end: float = 0.0
 
     @property
     def average_migration_rate(self) -> float:
@@ -439,6 +441,7 @@ def run_single_tenant(
         controller_latency_series=controller_series,
         extras=outcome_extras,
         run_report=run_report,
+        sim_end=env.now,
     )
 
 
@@ -565,4 +568,5 @@ def run_multi_tenant(
         throttle_series=throttle_series,
         controller_latency_series=controller_series,
         run_report=run_report,
+        sim_end=env.now,
     )

@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="slackerlint: determinism & units linter for the Slacker "
-        "reproduction (per-file rules SLK001-SLK013, project rules "
+        "reproduction (per-file rules SLK001-SLK014, project rules "
         "SLK101-SLK108).",
     )
     parser.add_argument(

@@ -5,7 +5,7 @@ once and derives, per module:
 
 * the module's dotted name (from ``__init__.py`` package nesting, so
   ``src/repro/db/engine.py`` is ``repro.db.engine`` and
-  ``scripts/bench_kernel.py`` is ``scripts.bench_kernel``);
+  ``scripts/gen_api_doc.py`` is ``scripts.gen_api_doc``);
 * a symbol table mapping local names to dotted targets, with relative
   imports resolved against the module's package and re-exports through
   ``__init__.py`` chased to their defining module;

@@ -27,6 +27,7 @@ __all__ = [
     "EagerPeriodicLoopRule",
     "UnconsumedHoldRule",
     "UnconsumedServiceRule",
+    "DigestOwnerRule",
 ]
 
 #: Call targets that read the wall clock (dotted names after import
@@ -966,3 +967,40 @@ class UnconsumedServiceRule(Rule):
                         "does its work when called and may hold a unit the "
                         "returned generator releases",
                     )
+
+
+#: The one module under :data:`DIGEST_SCOPE` that may build digests.
+DIGEST_OWNER = "repro/experiments/fingerprint.py"
+DIGEST_SCOPE = "repro/experiments/"
+
+
+@register
+class DigestOwnerRule(Rule):
+    """SLK014: a ``hashlib`` digest in the experiment drivers outside ``fingerprint.py``.
+
+    A trajectory fingerprint is a spec: ``tests/golden/fingerprints.json``
+    pins one per driver, and a kernel change proves itself bit-identical
+    by leaving them alone.  That holds only while one function decides
+    what a fingerprint hashes — the simulated trajectory, never kernel
+    bookkeeping or RunReports — so a driver that hashes its own record
+    goes through :func:`repro.experiments.fingerprint.trajectory_fingerprint`
+    instead of calling ``hashlib`` itself.
+    """
+
+    id = "SLK014"
+    summary = "hashlib digest under repro/experiments/ outside fingerprint.py"
+
+    def applies_to(self, rel_path: str) -> bool:
+        path = f"/{rel_path}"
+        return f"/{DIGEST_SCOPE}" in path and not path.endswith(f"/{DIGEST_OWNER}")
+
+    def visit_Call(self, node: ast.Call) -> None:
+        qualname = self.ctx.imports.qualname(node.func)
+        if qualname is not None and qualname.startswith("hashlib."):
+            self.report(
+                node,
+                f"`{qualname}` in an experiment driver — fingerprint the "
+                "trajectory with repro.experiments.fingerprint."
+                "trajectory_fingerprint, the one owner of the digest format",
+            )
+        self.generic_visit(node)

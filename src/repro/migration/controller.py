@@ -26,7 +26,7 @@ from typing import Optional, Protocol, Sequence
 from ..control.pid import PAPER_GAINS, PidGains, VelocityPidController
 from ..control.window import DEFAULT_TIMESTEP, DEFAULT_WINDOW, LatencyWindow
 from ..resources.units import to_millis
-from ..simulation import Environment, Event, Interrupt, PeriodicTicker, Trace
+from ..simulation import Environment, Event, Interrupt, PeriodicTicker, Trace, float_sum
 from .throttle import Throttle
 
 __all__ = ["ControllerConfig", "DynamicThrottleController", "LatencyController"]
@@ -149,7 +149,7 @@ class DynamicThrottleController:
             return None
         if self.config.combine == "max":
             return max(samples)
-        return sum(samples) / len(samples)
+        return float_sum(samples) / len(samples)
 
     def run(self, until: Optional[Event] = None):
         """Process: step the loop each timestep until stopped.

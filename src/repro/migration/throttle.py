@@ -36,13 +36,21 @@ from typing import Generator, Optional
 from ..resources.units import MB
 from ..simulation import Container, Environment, Interrupt, PeriodicTicker
 
-__all__ = ["ThrottleStats", "Throttle"]
+__all__ = ["ThrottleStats", "Throttle", "MAX_WALK_TICKS"]
 
 #: Default refill tick, seconds (sub-second granularity, like pv's).
 DEFAULT_TICK = 0.05
 
 #: Default bucket depth: bounds burst after an idle period.
 DEFAULT_BUCKET_BYTES = 4 * MB
+
+#: Most refill ticks the service loop walks ahead (204.8 s at the
+#: default tick).  A grant further out wakes the loop at the last
+#: walked tick to settle and walk again, so a stream throttled to a
+#: crawl costs O(elapsed ticks) instead of a walk to a grant years
+#: away on every rate change.  Every pinned experiment point walks
+#: fewer than 200 ticks, so none of them wakes early.
+MAX_WALK_TICKS = 2**12
 
 
 @dataclass
@@ -208,15 +216,15 @@ class Throttle:
         """Ticks (>= 1) until the queue head's request can be served.
 
         Walks the same chained float arithmetic the settlement will
-        perform, so the predicted tick is exact.
+        perform, so the predicted tick is exact.  Returns 0 when no
+        tick ever grants it and ``MAX_WALK_TICKS + 1`` when none of the
+        next :data:`MAX_WALK_TICKS` does.
         """
         amount = self._bucket._getters[0][1]
         level = self._bucket._level
         capacity = self._bucket.capacity
         deposit = self._rate * self.tick
-        ticks = 0
-        while True:
-            ticks += 1
+        for ticks in range(1, MAX_WALK_TICKS + 1):
             before = level
             level = min(capacity, level + deposit)
             if level >= amount:
@@ -227,6 +235,7 @@ class Throttle:
                 # grant tick"; the service loop parks until a rate
                 # change makes progress possible again.
                 return 0
+        return MAX_WALK_TICKS + 1
 
     def _service_loop(self):
         """Wake exactly at ticks where the oldest blocked request is
@@ -236,7 +245,8 @@ class Throttle:
             ticks = self._ticks_until_grant()
             if ticks == 0:
                 return  # rate too small to ever grant; set_rate restarts
-            target = self._ticker.peek(ticks - 1)
+            walked_out = ticks > MAX_WALK_TICKS
+            target = self._ticker.peek(min(ticks, MAX_WALK_TICKS) - 1)
             try:
                 yield env.timeout_at(target)
             except Interrupt:
@@ -244,5 +254,9 @@ class Throttle:
                 # recompute (or exit, if paused) on the next pass.
                 continue
             # Deposits through now; grants the head (and any queued
-            # requests the remaining credit covers) at this tick.
-            self._settle(inclusive=True)
+            # requests the remaining credit covers) at this tick.  At
+            # the end of a walk that found no grant, the tick at now
+            # grants nothing and is left unsettled, as it would be had
+            # nothing woken: a rate change at this instant still
+            # applies to it.
+            self._settle(inclusive=not walked_out)

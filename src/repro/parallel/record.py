@@ -60,6 +60,7 @@ class PointRecord(PooledLatencyStats):
     #: Observability snapshot (plain dicts/tuples, pickles compactly)
     #: when the point ran with ``observe=True``.
     run_report: Optional[RunReport] = None
+    sim_end: float = 0.0
 
     @property
     def average_migration_rate(self) -> float:
@@ -89,4 +90,5 @@ class PointRecord(PooledLatencyStats):
             controller_latency_series=outcome.controller_latency_series,
             extras=dict(outcome.extras),
             run_report=outcome.run_report,
+            sim_end=outcome.sim_end,
         )

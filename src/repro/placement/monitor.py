@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..middleware.cluster import SlackerCluster
-from ..simulation import PeriodicTicker, Series, Trace
+from ..simulation import PeriodicTicker, Series, Trace, float_sum
 
 __all__ = ["TenantLoad", "NodeLoad", "LoadMonitor"]
 
@@ -128,7 +128,7 @@ class LoadMonitor:
                     if series is not None
                     else []
                 )
-                mean = sum(values) / len(values) if values else float("nan")
+                mean = float_sum(values) / len(values) if values else float("nan")
                 tenants.append(
                     TenantLoad(
                         tenant_id=tenant.tenant_id,

@@ -21,7 +21,7 @@ from .core import (
 from .resources import Container, PriorityResource, Request, Resource, Store
 from .rng import RandomStreams, default_rng, derive_seed
 from .timers import PeriodicTicker
-from .trace import Series, Trace, sliding_window_average
+from .trace import Series, Trace, float_sum, sliding_window_average
 
 __all__ = [
     "AllOf",
@@ -45,5 +45,6 @@ __all__ = [
     "Timeout",
     "Trace",
     "derive_seed",
+    "float_sum",
     "sliding_window_average",
 ]

@@ -459,8 +459,8 @@ class Environment:
         """Total events processed since construction.
 
         For a run that drains the queue this equals the number of
-        events ever scheduled — the figure ``scripts/bench_kernel.py``
-        reports as events/sec.
+        events ever scheduled — the figure ``tests/test_event_budget.py``
+        pins.
         """
         return self._processed
 
@@ -474,7 +474,7 @@ class Environment:
         putting an event on the queue.  ``processed_events +
         elided_events`` is therefore what the same trajectory would
         have cost with one event per tick — the denominator for the
-        coalescing win ``scripts/bench_kernel.py --fleet`` records.
+        coalescing win (a fleet record's ``elided``).
         """
         return self._elided
 

@@ -11,10 +11,23 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Optional
 
-__all__ = ["Series", "Trace", "sliding_window_average"]
+__all__ = ["Series", "Trace", "float_sum", "sliding_window_average"]
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: the same bits on every supported Python.
+
+    From Python 3.12 the builtin ``sum`` compensates float rounding, so
+    a mean that steers the simulation (a PID window, a hotspot scan) or
+    that a pinned fingerprint records would move with the interpreter.
+    This is the uncompensated sum of 3.10 and 3.11.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 @dataclass

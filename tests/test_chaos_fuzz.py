@@ -235,7 +235,9 @@ class TestOrphanedSends:
     DeliveryError must be counted, not escape ``Environment.run``."""
 
     @pytest.mark.parametrize(
-        ("schedule", "fluid_chunks"), [(195, 0), (320, 8)], ids=["live", "fluid"]
+        ("schedule", "fluid_chunks"),
+        [(195, 0), (320, 8), (317, 0), (407, 0), (442, 0), (355, 8), (618, 8)],
+        ids=["live", "fluid", "live-317", "live-407", "live-442", "fluid-355", "fluid-618"],
     )
     def test_schedule_finishes(self, schedule, fluid_chunks):
         [point] = fuzz_points(

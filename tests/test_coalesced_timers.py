@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.migration.throttle import Throttle
+from repro.migration.throttle import MAX_WALK_TICKS, Throttle
 from repro.resources.units import MB
 from repro.simulation import Environment, PeriodicTicker
 
@@ -181,6 +181,59 @@ class TestThrottleEagerVsCoalesced:
         # coalesced throttle schedules nothing at all.
         assert env.processed_events - before <= 1
         assert throttle.level == 0.0
+
+
+def _crawl_scenario(throttle_cls):
+    """A stream whose grants lie several walk caps out.
+
+    Rate changes land exactly on the first and third capped wakeup
+    ticks, from timeouts scheduled after the wakeups were: the kernel
+    wakes the throttle first, and the tick must still get the new rate,
+    as it does in the eager loop (whose tick timeout is scheduled
+    later).
+    """
+    env = Environment()
+    tick = 0.05
+    slow = 1 * MB / (3.5 * MAX_WALK_TICKS * tick)
+    throttle = throttle_cls(env, rate=slow, tick=tick)
+    clock = PeriodicTicker(env, tick)
+    grants = []
+
+    def consumer():
+        for chunk in (1 * MB, 0.25 * MB, 1 * MB):
+            yield from throttle.acquire(chunk)
+            grants.append((env.now, chunk))
+
+    def controller():
+        for cap, rate in ((1, slow / 2), (3, slow * 3)):
+            at = clock.peek(cap * MAX_WALK_TICKS - 1)
+            yield env.timeout_at(at - 1.0)
+            yield env.timeout_at(at)
+            throttle.set_rate(rate)
+
+    done = env.process(consumer())
+    env.process(controller())
+    env.run(until=done)
+    throttle.stop()
+    return {
+        "grants": grants,
+        "stats": (throttle.stats.grants, throttle.stats.rate_seconds),
+        "processed": env.processed_events,
+    }
+
+
+class TestThrottleCrawl:
+    def test_walk_cap_is_bit_identical(self):
+        eager = _crawl_scenario(EagerThrottle)
+        lazy = _crawl_scenario(Throttle)
+        assert lazy["grants"] == eager["grants"]
+        assert lazy["stats"] == eager["stats"]
+        assert lazy["grants"][-1][0] > 4 * MAX_WALK_TICKS * 0.05
+
+    def test_crawl_wakes_once_per_walk(self):
+        lazy = _crawl_scenario(Throttle)
+        eager = _crawl_scenario(EagerThrottle)
+        assert lazy["processed"] < eager["processed"] / 100
 
 
 class TestHeartbeatGridStaysOnEagerTimeline:

@@ -13,9 +13,16 @@ trajectory itself does; the split moves when the kernel gets cheaper.
 
 A change that removes events on purpose updates these numbers and says
 so in CHANGES.md.
+
+Every point runs under cProfile with observability off, and no function
+under ``repro/obs/`` may run: the obs layer's "zero cost when off" is
+checked by count here, not by timing.
 """
 
 from __future__ import annotations
+
+import cProfile
+import pstats
 
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.experiments import harness as harness_mod
@@ -32,6 +39,19 @@ def _counts(env):
     return env.processed_events, env.inline_grants, env.inline_holds
 
 
+def _unobserved(point):
+    """Run ``point()`` under cProfile; fail if any ``repro/obs`` function ran."""
+    profile = cProfile.Profile()
+    result = profile.runcall(point)
+    ran = sorted(
+        f"{name} ({path}:{line})"
+        for path, line, name in pstats.Stats(profile).stats
+        if "/repro/obs/" in path.replace("\\", "/")
+    )
+    assert not ran, f"observability is off, yet obs code ran: {ran}"
+    return result
+
+
 def _harness_counts(point):
     """Run ``point()`` and return the event counts of the env it built."""
     made = []
@@ -46,7 +66,7 @@ def _harness_counts(point):
     original = harness_mod.Environment
     harness_mod.Environment = Recorded
     try:
-        point()
+        _unobserved(point)
     finally:
         harness_mod.Environment = original
     (env,) = made
@@ -100,15 +120,17 @@ def test_chaos_fault_injection_point():
 
 
 def test_fleet_drain_point():
-    record = fleet_point(
-        scaled_config(EVALUATION, 0.125, 11),
-        MigrationSpec.dynamic(1.0),
-        label="drain",
-        scenario="drain",
-        nodes=4,
-        tenants=12,
-        warmup=10.0,
-        run_limit=400.0,
+    record = _unobserved(
+        lambda: fleet_point(
+            scaled_config(EVALUATION, 0.125, 11),
+            MigrationSpec.dynamic(1.0),
+            label="drain",
+            scenario="drain",
+            nodes=4,
+            tenants=12,
+            warmup=10.0,
+            run_limit=400.0,
+        )
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)

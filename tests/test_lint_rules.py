@@ -896,3 +896,45 @@ class TestSLK013UnconsumedService:
             "    env.process(disk.read(16))  # slackerlint: disable=SLK013\n"
         )
         assert "SLK013" not in rule_ids(src)
+
+
+class TestSLK014DigestOwner:
+    DRIVER = "src/repro/experiments/fig7_tradeoff.py"
+
+    def test_positive_sha256_in_a_driver(self):
+        src = "import hashlib\ndigest = hashlib.sha256()\n"
+        assert "SLK014" in rule_ids(src, rel_path=self.DRIVER)
+
+    def test_positive_from_import_and_other_algorithms(self):
+        src = (
+            "from hashlib import blake2b\n"
+            "import hashlib as h\n"
+            "a = blake2b()\n"
+            "b = h.new('md5')\n"
+        )
+        assert rule_ids(src, rel_path=self.DRIVER).count("SLK014") == 2
+
+    def test_negative_the_owner_module(self):
+        src = "import hashlib\ndigest = hashlib.sha256()\n"
+        owner = "src/repro/experiments/fingerprint.py"
+        assert "SLK014" not in rule_ids(src, rel_path=owner)
+
+    def test_negative_outside_the_experiments(self):
+        src = "import hashlib\ndigest = hashlib.sha256()\n"
+        assert "SLK014" not in rule_ids(src, rel_path="src/repro/parallel/cache.py")
+        assert "SLK014" not in rule_ids(src, rel_path="src/repro/obs/report.py")
+
+    def test_negative_calling_the_fingerprint(self):
+        src = (
+            "from .fingerprint import trajectory_fingerprint\n"
+            "def fingerprint(records):\n"
+            "    return trajectory_fingerprint(records)\n"
+        )
+        assert "SLK014" not in rule_ids(src, rel_path=self.DRIVER)
+
+    def test_pragma_suppresses(self):
+        src = (
+            "import hashlib\n"
+            "digest = hashlib.sha256()  # slackerlint: disable=SLK014\n"
+        )
+        assert "SLK014" not in rule_ids(src, rel_path=self.DRIVER)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulation import Series, Trace, sliding_window_average
+from repro.simulation import Series, Trace, float_sum, sliding_window_average
 
 
 class TestSeries:
@@ -178,3 +178,19 @@ def test_smoothed_within_min_max(samples):
     smooth = s.smoothed(5.0)
     lo, hi = min(s.values), max(s.values)
     assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in smooth.values)
+
+
+class TestFloatSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the uncompensated sum is 0.0;
+        # a compensated sum (the builtin's from Python 3.12) gives 1.0.
+        assert float_sum([1e16, 1.0, -1e16]) == 0.0
+        assert float_sum([]) == 0.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32)))
+    def test_matches_a_plain_loop(self, values):
+        total = 0.0
+        for value in values:
+            total += value
+        assert float_sum(values) == total
+
