@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource, default_rng
@@ -91,6 +92,8 @@ class Cpu:
         process it is always a generator, which does all of the work
         once it runs.
         """
+        if mean_seconds < 0:
+            raise ValueError(f"mean_seconds must be >= 0, got {mean_seconds}")
         cores = self._cores
         horizon = cores.claim_in_place()
         if horizon is None:
@@ -116,22 +119,19 @@ class Cpu:
     ) -> Generator:
         """Process: the part of :meth:`execute` that waits on the kernel.
 
-        Without ``grant`` it requests a core first and then draws the
-        burst.  With one (a core :meth:`execute` claimed in place) the
-        drawn ``burst`` ends past the horizon, so its hold is a
-        scheduled timeout.
+        Without ``grant`` it queues for a core, and the burst is drawn
+        the instant one is granted (:meth:`Resource.serve`); the grant
+        fires at the burst's end.  With one (a core :meth:`execute`
+        claimed in place) the drawn ``burst`` ends past the horizon,
+        so it waits on a timeout.
         """
         cores = self._cores
         if grant is None:
-            grant = cores.request(priority)
+            grant = done = cores.serve(priority, partial(self.burst_time, mean_seconds))
+        else:
+            done = self.env.timeout(burst, burst)
         try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            if burst is None:
-                burst = self.burst_time(mean_seconds)
-            hold = self.env.hold(burst)
-            if hold is not None:  # else the burst ended in place
-                yield hold
+            burst = yield done
             self.stats.bursts += 1
             self.stats.busy_time += burst
         finally:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource, default_rng
@@ -236,30 +237,38 @@ class Disk:
     ) -> Generator:
         """Process: the part of :meth:`_access` that waits on the kernel.
 
-        Without ``grant`` it queues on the arm first and then draws the
-        service.  With one (the arm :meth:`_access` claimed in place)
-        the drawn ``service`` ends past the horizon, so its hold is a
-        scheduled timeout.
+        Without ``grant`` it queues on the arm, and the service starts
+        the instant the arm is granted (:meth:`_start`); the grant fires
+        at the service's end.  With one (the arm :meth:`_access` claimed
+        in place) the drawn ``service`` ends past the horizon, so it
+        waits on a timeout.
         """
-        env = self.env
         arm = self._arm
-        queued_at = env.now
         if grant is None:
-            grant = arm.request(priority)
+            start = partial(
+                self._start, self.env._now, nbytes, sequential, stream, cached
+            )
+            grant = done = arm.serve(priority, start)
+        else:
+            done = self.env.timeout(service, service)
         try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            stats = self.stats
-            stats.queue_time += env.now - queued_at
-            if service is None:
-                service = self._service(nbytes, sequential, stream, cached)
-            hold = env.hold(service)
-            if hold is not None:  # else the service ended in place
-                yield hold
-            stats.busy_time += service
+            service = yield done
+            self.stats.busy_time += service
             self._count(nbytes, sequential, is_write, cached)
         finally:
             arm.release(grant)
+
+    def _start(
+        self,
+        queued_at: float,
+        nbytes: int,
+        sequential: bool,
+        stream: Optional[str],
+        cached: bool,
+    ) -> float:
+        """At the grant: count the time queued, then draw the service."""
+        self.stats.queue_time += self.env._now - queued_at
+        return self._service(nbytes, sequential, stream, cached)
 
     def _count(
         self, nbytes: int, sequential: bool, is_write: bool, cached: bool

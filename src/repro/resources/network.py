@@ -11,6 +11,7 @@ and target" extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource
@@ -91,7 +92,7 @@ class NetworkLink:
         env = self.env
         sent = env._now + serialization
         if not horizon > sent:
-            return self._send(nbytes, priority, wire.occupy(priority))
+            return self._send(nbytes, priority, wire.occupy(priority), serialization)
         env._now = sent
         env._held += 1
         self.stats.busy_time += serialization
@@ -107,28 +108,35 @@ class NetworkLink:
         return ()
 
     def _send(
-        self, nbytes: int, priority: int, grant: Optional[Request] = None
+        self,
+        nbytes: int,
+        priority: int,
+        grant: Optional[Request] = None,
+        serialization: Optional[float] = None,
     ) -> Generator:
         """Process: the part of :meth:`transfer` that waits on the kernel.
 
-        Without ``grant`` it queues for the wire first; with one (the
-        wire :meth:`transfer` claimed in place) serialization ends past
-        the horizon, so its hold is a scheduled timeout.
+        Without ``grant`` it queues for the wire, and serialization
+        starts the instant the wire is granted (:meth:`_serialization`);
+        the grant fires at its end.  With one (the wire :meth:`transfer`
+        claimed in place) ``serialization`` ends past the horizon, so it
+        waits on a timeout.
         """
         wire = self._wire
         if grant is None:
-            grant = wire.request(priority)
+            grant = done = wire.serve(priority, partial(self._serialization, nbytes))
+        else:
+            done = self.env.timeout(serialization, serialization)
         try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            serialization = nbytes / self.params.bandwidth
-            hold = self.env.hold(serialization)
-            if hold is not None:  # else serialization ended in place
-                yield hold
+            serialization = yield done
             self.stats.busy_time += serialization
         finally:
             wire.release(grant)
         yield from self._propagate(nbytes)
+
+    def _serialization(self, nbytes: int) -> float:
+        """Time to put ``nbytes`` on the wire at the current bandwidth."""
+        return nbytes / self.params.bandwidth
 
     def _propagate(self, nbytes: int) -> Generator:
         """Process: propagation, off the wire (pipelined with later sends)."""

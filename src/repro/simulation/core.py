@@ -484,11 +484,14 @@ class Environment:
 
     @property
     def inline_grants(self) -> int:
-        """Uncontended resource grants that continued in place.
+        """Resource grants that cost no event.
 
         Each one is a grant event the kernel would have processed next
         anyway, so :meth:`~repro.simulation.resources.Resource.request`
-        returned it already processed instead of scheduling it.
+        returned it already processed instead of scheduling it, or a
+        grant that started its service at once
+        (:meth:`~repro.simulation.resources.Resource.serve`), whose
+        waiter resumes only at the service's end.
         ``processed_events + inline_grants`` is what the same trajectory
         costs when every grant is an event.  Kept apart from
         :attr:`elided_events`, which counts coalesced ticks.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .core import _PENDING, Environment, Event
 
@@ -39,15 +39,16 @@ class Request(Event):
     """A pending or granted claim on a :class:`Resource`.
 
     Built by :meth:`Resource.request`; ``Request(resource, priority)``
-    is the same call.  Usable as a context manager so the resource is
-    always released:
+    is the same call.  :meth:`Resource.serve` builds one that starts a
+    service at its grant.  Usable as a context manager so the resource
+    is always released:
 
     >>> with resource.request() as req:   # doctest: +SKIP
     ...     yield req
     ...     ...  # use the resource
     """
 
-    __slots__ = ("resource", "priority", "granted_at")
+    __slots__ = ("resource", "priority", "granted_at", "start")
 
     def __new__(cls, resource: "Resource", priority: int = 0) -> "Request":
         return resource.request(priority)
@@ -74,7 +75,9 @@ class Resource:
     grants the head of the queue at once, and a request that finds a
     free unit is granted on the spot.  That invariant is the fast path
     — an uncontended request never touches the wait heap, and when
-    nothing else could run first its grant costs no event either.
+    nothing else could run first its grant costs no event either.  A
+    request from :meth:`serve` starts its service at the grant, so it
+    costs one event, at the service's end, whether it queued or not.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -168,6 +171,44 @@ class Resource:
             env._schedule(request)
         else:
             request.granted_at = None
+            request.start = None
+            request._ok = None
+            request._value = _PENDING
+            _heappush(self._queue, (priority, next(self._seq), request))
+        return request
+
+    def serve(self, priority: int, start: Callable[[], float]) -> Request:
+        """Claim one unit and start a service on it the instant it is granted.
+
+        ``start()`` draws the service time.  It is called here when a
+        unit is free, or inside the :meth:`release` that hands the unit
+        over when the request queued; the grant then costs no event
+        (it is counted in
+        :attr:`~repro.simulation.core.Environment.inline_grants`), and
+        the returned request fires once, at grant + service, with the
+        service time as its value.  ``granted_at`` is the grant time.
+        A request withdrawn while queued is never started; release one
+        that is in service as any other grant.
+        """
+        env = self.env
+        request = _new_event(Request)
+        request.env = env
+        request.callbacks = []
+        request._defused = False
+        request.resource = self
+        request.priority = priority
+        users = self.users
+        if len(users) < self.capacity:
+            users.append(request)
+            request.granted_at = env._now
+            env._inline += 1
+            delay = start()
+            request._ok = True
+            request._value = delay
+            env._schedule(request, delay=delay)
+        else:
+            request.granted_at = None
+            request.start = start
             request._ok = None
             request._value = _PENDING
             _heappush(self._queue, (priority, next(self._seq), request))
@@ -196,8 +237,14 @@ class Resource:
             users.append(request)
             request.granted_at = env._now
             request._ok = True
-            request._value = None
-            env._schedule(request)
+            start = request.start
+            if start is None:
+                request._value = None
+                env._schedule(request)
+            else:  # served: the unit's service starts at the hand-off
+                env._inline += 1
+                delay = request._value = start()
+                env._schedule(request, delay=delay)
 
 
 class PriorityResource(Resource):

@@ -22,7 +22,12 @@ current fast path and demand identical trajectories:
 * :class:`GeneratorCpu` / :class:`GeneratorDisk` /
   :class:`GeneratorNetworkLink` — the CPU, disk and NIC services before
   they finished in place: each call a generator that does all of its
-  work once it runs (``tests/test_service_in_place.py``).
+  work once it runs, queued through the reference :class:`Resource`'s
+  :meth:`Resource.serve` (``tests/test_service_in_place.py``).
+
+The reference :class:`Resource` keeps one addition to the verbatim
+original: :meth:`Resource.serve`, the grant-time start of the current
+contract in its plainest form.
 
 Nothing under ``src/`` imports this module.
 """
@@ -185,11 +190,12 @@ class Request(Event):
     ...     ...  # use the resource
     """
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource", priority: int = 0, start=None):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
         self.granted_at: Optional[float] = None
+        self.start = start
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -229,6 +235,15 @@ class Resource:
         """Claim one unit of capacity; the returned event fires when granted."""
         return Request(self, priority)
 
+    def serve(self, priority: int, start) -> Request:
+        """Claim one unit; ``start()`` draws its service at the grant.
+
+        The request fires at grant + service with the service as its
+        value.  The grant itself is no event, so it is counted in
+        ``inline_grants``.
+        """
+        return Request(self, priority, start)
+
     def release(self, request: Request) -> None:
         """Release a granted request (alias usable without ``with``)."""
         self._do_release(request)
@@ -258,28 +273,36 @@ class Resource:
             _, _, request = heapq.heappop(self._queue)
             self.users.append(request)
             request.granted_at = self.env.now
-            request.succeed()
+            if request.start is None:
+                request.succeed()
+            else:
+                self.env._inline += 1
+                service = request.start()
+                request._ok = True
+                request._value = service
+                self.env._schedule(request, delay=service)
 
 
 class GeneratorCpu(Cpu):
     """:class:`~repro.resources.cpu.Cpu` whose bursts are always generators.
 
-    ``execute`` is the body from before services finished in place:
-    nothing happens until the generator runs, and every step goes
-    through ``Resource.request`` and ``Environment.hold``.
+    Nothing happens until the generator runs; then it queues for a core
+    on the reference :class:`Resource`, which draws the burst at the
+    grant, and waits for the burst's end.
     """
+
+    def __init__(self, env: Environment, *args, **kwargs):
+        super().__init__(env, *args, **kwargs)
+        self._cores = Resource(env, capacity=self.params.cores)
 
     def execute(self, mean_seconds: float, priority: int = 0) -> Generator:
         """Process: occupy one core for a burst of roughly ``mean_seconds``."""
+        if mean_seconds < 0:
+            raise ValueError(f"mean_seconds must be >= 0, got {mean_seconds}")
         cores = self._cores
-        grant = cores.request(priority)
+        grant = cores.serve(priority, lambda: self.burst_time(mean_seconds))
         try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            burst = self.burst_time(mean_seconds)
-            hold = self.env.hold(burst)
-            if hold is not None:  # else the burst ended in place
-                yield hold
+            burst = yield grant
             self.stats.bursts += 1
             self.stats.busy_time += burst
         finally:
@@ -288,6 +311,10 @@ class GeneratorCpu(Cpu):
 
 class GeneratorDisk(Disk):
     """:class:`~repro.resources.disk.Disk` whose accesses are always generators."""
+
+    def __init__(self, env: Environment, *args, **kwargs):
+        super().__init__(env, *args, **kwargs)
+        self._arm = Resource(env, capacity=1)
 
     def _access(
         self,
@@ -302,17 +329,16 @@ class GeneratorDisk(Disk):
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         env = self.env
         queued_at = env.now
-        arm = self._arm
-        grant = arm.request(priority)
-        try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            stats = self.stats
+        stats = self.stats
+
+        def start():
             stats.queue_time += env.now - queued_at
-            service = self._service(nbytes, sequential, stream, cached)
-            hold = env.hold(service)
-            if hold is not None:  # else the service ended in place
-                yield hold
+            return self._service(nbytes, sequential, stream, cached)
+
+        arm = self._arm
+        grant = arm.serve(priority, start)
+        try:
+            service = yield grant
             stats.busy_time += service
             self._count(nbytes, sequential, is_write, cached)
         finally:
@@ -323,27 +349,24 @@ class GeneratorNetworkLink(NetworkLink):
     """:class:`~repro.resources.network.NetworkLink` whose transfers are
     always generators."""
 
+    def __init__(self, env: Environment, *args, **kwargs):
+        super().__init__(env, *args, **kwargs)
+        self._wire = Resource(env, capacity=1)
+
     def transfer(self, nbytes: int, priority: int = 0) -> Generator:
         """Process: push ``nbytes`` through this link direction."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         wire = self._wire
-        grant = wire.request(priority)
+        grant = wire.serve(priority, lambda: nbytes / self.params.bandwidth)
         try:
-            if grant.callbacks is not None:  # else granted in place
-                yield grant
-            serialization = nbytes / self.params.bandwidth
-            hold = self.env.hold(serialization)
-            if hold is not None:  # else serialization ended in place
-                yield hold
+            serialization = yield grant
             self.stats.busy_time += serialization
         finally:
             wire.release(grant)
         # Propagation happens off the wire (pipelined with later sends).
         if self.params.latency > 0:
-            hold = self.env.hold(self.params.latency)
-            if hold is not None:
-                yield hold
+            yield self.env.timeout(self.params.latency)
         self.stats.transfers += 1
         self.stats.bytes_sent += nbytes
 
@@ -403,13 +426,13 @@ def assert_fleet_records_match(fast, reference, *, heap: bool = True) -> None:
     Every field must match, except how the kernel events split: each
     grant ``fast`` continued in place is counted in ``inline`` and each
     hold in ``held`` rather than in ``events``, so only the totals must
-    be equal.  The reference never grants in place; on the
-    ``HeapEnvironment`` (``heap=True``) it never holds in place either.
+    be equal.  Both sides count a grant that starts a service
+    (``Resource.serve``) in ``inline``.  On the ``HeapEnvironment``
+    (``heap=True``) the reference never holds in place.
     """
-    assert reference.inline == 0
     if heap:
         assert reference.held == 0
-    total = reference.events + reference.held
+    total = reference.events + reference.inline + reference.held
     assert fast.events + fast.inline + fast.held == total
     costs = dict(events=0, inline=0, held=0)
     assert replace(fast, **costs) == replace(reference, **costs)

@@ -16,12 +16,25 @@ so in CHANGES.md.
 
 Every point runs under cProfile with observability off, and no function
 under ``repro/obs/`` may run: the obs layer's "zero cost when off" is
-checked by count here, not by timing.
+checked by count here, not by timing.  The same profile gives the
+calls made into the kernel (``repro/simulation/``) and the resource
+models (``repro/resources/``); cProfile counts each generator resume as
+a call.  Both totals are pinned exactly: they depend only on the code
+in this repository, so a change that makes either layer busier fails
+here even when the event counts hold.
+
+Re-pinned when a service that cannot finish in place started at its
+grant (``Resource.serve``): a queued or served CPU burst, disk access
+or wire hold costs one completion event and one counted in-place
+grant where it cost a grant event and a hold, so ``processed_events``
+fell by 38-45 % on the fig5, on-demand, fluid and chaos points and by
+22 % on the fleet drain, and every sum stayed equal.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 
 from repro.core.config import CASE_STUDY, EVALUATION
@@ -39,20 +52,51 @@ def _counts(env):
     return env.processed_events, env.inline_grants, env.inline_holds
 
 
-def _unobserved(point):
-    """Run ``point()`` under cProfile; fail if any ``repro/obs`` function ran."""
-    profile = cProfile.Profile()
-    result = profile.runcall(point)
+#: The layers whose call counts are pinned, as path fragments.
+PINNED_LAYERS = ("simulation", "resources")
+#: Python 3.12 inlines these comprehensions (PEP 709), so they are
+#: calls only on older interpreters; they are left out of the counts.
+INLINED = ("<listcomp>", "<dictcomp>", "<setcomp>")
+
+
+def _unobserved(point, layer_calls):
+    """Run ``point()`` under cProfile; fail if any ``repro/obs`` function ran.
+
+    Also fail unless the calls made into each of :data:`PINNED_LAYERS`
+    equal ``layer_calls`` (a tuple in that order).
+    """
+    # A process left suspended is in a reference cycle, and its
+    # generator runs its ``finally`` blocks when the cycle collector
+    # reaches it: collect the earlier runs' now, and none during this one.
+    gc.collect()
+    gc.disable()
+    try:
+        profile = cProfile.Profile()
+        result = profile.runcall(point)
+    finally:
+        gc.enable()
+    stats = pstats.Stats(profile).stats
     ran = sorted(
         f"{name} ({path}:{line})"
-        for path, line, name in pstats.Stats(profile).stats
+        for path, line, name in stats
         if "/repro/obs/" in path.replace("\\", "/")
     )
     assert not ran, f"observability is off, yet obs code ran: {ran}"
+    per_function = {layer: {} for layer in PINNED_LAYERS}
+    for (path, line, name), (_, calls, _, _, _) in stats.items():
+        if name in INLINED:
+            continue
+        path = path.replace("\\", "/")
+        for layer in PINNED_LAYERS:
+            if f"/repro/{layer}/" in path:
+                key = f"{path.rsplit('/', 1)[1]}:{line}({name})"
+                per_function[layer][key] = calls
+    counted = tuple(sum(per_function[layer].values()) for layer in PINNED_LAYERS)
+    assert counted == layer_calls, (counted, per_function)
     return result
 
 
-def _harness_counts(point):
+def _harness_counts(point, layer_calls):
     """Run ``point()`` and return the event counts of the env it built."""
     made = []
 
@@ -66,7 +110,7 @@ def _harness_counts(point):
     original = harness_mod.Environment
     harness_mod.Environment = Recorded
     try:
-        _unobserved(point)
+        _unobserved(point, layer_calls)
     finally:
         harness_mod.Environment = original
     (env,) = made
@@ -80,9 +124,10 @@ def _fig5_config():
 def test_fig5_throttle_point():
     cfg, spec = _fig5_config()
     counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
+        layer_calls=(10577, 8117),
     )
-    assert counts == (1933, 913, 1348)
+    assert counts == (1071, 1852, 1271)
 
 
 def test_on_demand_point():
@@ -90,9 +135,10 @@ def test_on_demand_point():
     cfg, _ = _fig5_config()
     spec = MigrationSpec.on_demand(mb_per_sec(8))
     counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
+        layer_calls=(105475, 85627),
     )
-    assert counts == (18896, 9687, 16687)
+    assert counts == (11010, 18956, 15304)
 
 
 def test_fluid_point():
@@ -100,9 +146,10 @@ def test_fluid_point():
     cfg, _ = _fig5_config()
     spec = MigrationSpec.fluid(mb_per_sec(8))
     counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0)
+        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
+        layer_calls=(9811, 7685),
     )
-    assert counts == (1738, 908, 1306)
+    assert counts == (979, 1745, 1228)
 
 
 def test_chaos_fault_injection_point():
@@ -114,9 +161,10 @@ def test_chaos_fault_injection_point():
             messages={"drop_prob": 0.20, "dup_prob": 0.05},
             warmup=2.0,
             run_limit=120.0,
-        )
+        ),
+        layer_calls=(49046, 34172),
     )
-    assert counts == (8407, 4588, 6467)
+    assert counts == (5161, 8220, 6081)
 
 
 def test_fleet_drain_point():
@@ -130,8 +178,9 @@ def test_fleet_drain_point():
             tenants=12,
             warmup=10.0,
             run_limit=400.0,
-        )
+        ),
+        layer_calls=(9781, 7441),
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)
-    assert counts == (802, 1943, 1980)
+    assert counts == (627, 2139, 1959)

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.stats import is_diverging
 from repro.core import CASE_STUDY, EVALUATION
 from repro.experiments import MigrationSpec, run_single_tenant, scaled_config
+from repro.experiments import stop_and_copy_downtime
 from repro.resources.units import MB, mb_per_sec
 
 CS = scaled_config(CASE_STUDY, 0.25)
@@ -88,6 +89,29 @@ class TestFig11Shape:
     def test_dynamic_throttle_varies_over_time(self, dynamic_sweep):
         throttle = dynamic_sweep[1.5].throttle_series
         assert max(throttle.values) > min(throttle.values)
+
+
+class TestFig7Downtime:
+    """Stop-and-copy's downtime grows with the database; live's stays sub-second."""
+
+    @pytest.fixture(scope="class")
+    def downtimes(self):
+        result = stop_and_copy_downtime.run(sizes_mb=(128, 256))
+        return {
+            method: dict(result.downtimes(method))
+            for method in ("stop-and-copy", "live (8 MB/s)")
+        }
+
+    def test_stop_and_copy_downtime_grows_with_size(self, downtimes):
+        stop_and_copy = downtimes["stop-and-copy"]
+        assert stop_and_copy[128] > 1.0
+        # Proportional to size: the whole copy happens while frozen.
+        assert stop_and_copy[256] / stop_and_copy[128] == pytest.approx(2.0, rel=0.1)
+
+    def test_live_downtime_stays_sub_second(self, downtimes):
+        live = downtimes["live (8 MB/s)"]
+        assert sorted(live) == [128, 256]
+        assert all(downtime < 1.0 for downtime in live.values())
 
 
 class TestZeroDowntime:

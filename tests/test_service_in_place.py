@@ -1,18 +1,21 @@
-"""Services that finish in place: CPU bursts, disk accesses, NIC transfers.
+"""Services that finish in place or start at the grant: CPU bursts,
+disk accesses, NIC transfers.
 
 ``Cpu.execute``, ``Disk.read``/``write`` and ``NetworkLink.transfer``
 do their work when called if the grant and every hold end before the
 next event the kernel would process, and return ``()``; otherwise
-they return a generator that finishes the work.  The generator-only
-bodies they replaced are kept in ``tests/reference_kernel.py``
-(``GeneratorCpu``, ``GeneratorDisk``, ``GeneratorNetworkLink``) and run
-here on ``HeapEnvironment``, which never continues anything in place.
-The same script must give the same log, the same ``now`` and the same
-device statistics on both sides, and the fast side's
-``processed_events + inline_grants + inline_holds`` must equal the
-oracle's ``processed_events``.  The generator services also run on the
-fast kernel, where the split itself must match: a service finishing in
-place continues exactly the grants and holds its generator would have.
+they return a generator that finishes the work.  A call that cannot
+claim a unit in place queues through ``Resource.serve``: its service
+is drawn the instant the unit is granted (in the call when one is
+free, in the releasing ``release`` when it queued), and it resumes
+once, at the service's end.  The generator-only bodies are kept in
+``tests/reference_kernel.py`` (``GeneratorCpu``, ``GeneratorDisk``,
+``GeneratorNetworkLink``), queued through the reference ``Resource``'s
+``serve``, and run here on the fast kernel and on ``HeapEnvironment``,
+which never continues anything in place.  The same script must give
+the same log, the same ``now`` and the same device statistics on all
+three sides, and ``processed_events + inline_grants + inline_holds``
+must be equal.
 
 The scripts mix free and contended units (capacity 1-2), zero-length
 bursts and transfers, sequential, random and cached disk I/O on two
@@ -22,7 +25,8 @@ in service, a process started or a zero-delay event queued just before
 a call, bandwidth collapsing while calls are queued (as the fault
 injector does it), an event dispatched to several callbacks, services started
 from the top level, and ``run(until=t)`` stops that land inside a
-burst.  ``TestServiceGuards`` pins each outcome with one direct case.
+burst.  ``TestServiceGuards`` pins each outcome with one direct case,
+and ``TestGrantTimeStart`` each tie where the grant-time start shows.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from repro.simulation import Environment, Interrupt
 
 #: (environment, cpu, disk, link): the services under test, the
 #: generator services on the same kernel, and the generator services on
-#: the kernel that never continues in place.
+#: the kernel that never continues in place.  The generator services
+#: never claim a unit in place.
 SIDES = (
     (Environment, Cpu, Disk, NetworkLink),
     (Environment, GeneratorCpu, GeneratorDisk, GeneratorNetworkLink),
@@ -252,14 +257,13 @@ class TestScriptReplay:
             for side in SIDES
         )
         log, seen, events, inline, held = fast
-        ref_log, ref_seen, ref_events, ref_inline, ref_held = oracle
-        assert (ref_inline, ref_held) == (0, 0)
-        assert log == ref_log
-        assert seen == ref_seen
-        assert events + inline + held == ref_events
-        # On one kernel, a service finishing in place continues exactly
-        # the grants and holds its generator would have.
-        assert fast == generators
+        for ref_log, ref_seen, ref_events, ref_inline, ref_held in (generators, oracle):
+            assert log == ref_log
+            assert seen == ref_seen
+            assert events + inline + held == ref_events + ref_inline + ref_held
+        # Neither generator side continues a grant or a hold in place, so
+        # both kernels split the same cost the same way.
+        assert generators[2:] == oracle[2:] and oracle[4] == 0
 
 
 def _called_at(env, call, prelude=lambda env: None, at=1.0):
@@ -379,7 +383,8 @@ class TestServiceGuards:
         seen = _called_at(env, lambda: cpu.execute(0.5), lambda env: env.process(idle()))
         env.run()
         assert seen[0] != () and seen[1:] == [1.5]
-        assert (env.inline_grants, env.inline_holds) == (0, 1)
+        # Served: the grant starts the burst, whose end is one event.
+        assert (env.inline_grants, env.inline_holds) == (1, 0)
 
     def test_disk_access_runs_in_place(self):
         env = Environment()
@@ -460,3 +465,124 @@ class TestServiceGuards:
             env.process(proc())
             env.run()
             assert len(errors) == 1 and env.now == 1.0
+
+
+class TestGrantTimeStart:
+    """A queued service starts at the hand-off: each tie where that shows."""
+
+    def test_draw_is_visible_right_after_the_releasing_release(self):
+        env = Environment()
+        disk = _disk(env)
+        seen = []
+
+        def holder():
+            yield from disk.read(2)  # 0.25 seek + 0.5 transfer, from 0.0
+            # The queued read was granted, and drawn, by that release.
+            seen.append(
+                (env.now, disk._last_stream, disk.stats.queue_time, disk._arm.count)
+            )
+
+        def waiter():
+            yield env.timeout(0.25)
+            yield from disk.read(2, sequential=True, stream="b")
+            seen.append(("waiter", env.now))
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert seen == [(0.75, "b", 0.5, 1), ("waiter", 1.5)]
+        assert disk.stats.sequential_reads == 1 and disk.stats.queue_time == 0.5
+
+    def test_interrupt_at_the_hand_off_passes_the_unit_on(self):
+        env = Environment()
+        cpu = Cpu(env, CpuParams(cores=1, stochastic=True), rng=random.Random(7))
+        draws = random.Random(7)
+        first, second, third = (draws.expovariate(1.0) for _ in range(3))
+        log = []
+
+        def user(name, arrival):
+            if arrival:  # else a's burst ends ahead of the interrupter's wake-up
+                yield env.timeout(arrival)
+            try:
+                yield from cpu.execute(1.0)
+                log.append((name, env.now))
+            except Interrupt:
+                log.append((name, "interrupted", env.now))
+
+        env.process(user("a", 0.0))
+        victim = env.process(user("b", first / 4))
+        env.process(user("c", first / 2))
+
+        def interrupter():
+            yield env.timeout(first)
+            victim.interrupt()
+
+        env.process(interrupter())
+        env.run()
+        # b's burst was drawn at the hand-off, so c gets the third draw.
+        assert log == [("a", first), ("b", "interrupted", first), ("c", first + third)]
+        assert cpu.stats.bursts == 2 and cpu.stats.busy_time == first + third
+        assert second != third
+
+    def test_zero_length_service_completes_in_the_hand_off_lap(self):
+        env = Environment()
+        disk = _disk(env)
+        log = []
+
+        def holder():
+            yield from disk.read(2)
+            marker = env.timeout(0.0)
+            marker.callbacks.append(lambda _: log.append(("marker", env.now)))
+
+        def waiter():
+            yield env.timeout(0.25)
+            yield from disk.write(0, cached=True)
+            log.append(("write", env.now))
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        # The write's end was scheduled at the hand-off, ahead of
+        # anything the releaser schedules after it.
+        assert log == [("write", 0.75), ("marker", 0.75)]
+
+    def test_collapse_after_the_hand_off_misses_the_service(self):
+        env = Environment()
+        link = NetworkLink(env, NetworkParams(bandwidth=4.0, latency=0.0))
+        done = []
+
+        def sender(name, arrival):
+            if arrival:  # else a's send ends ahead of the collapse's wake-up
+                yield env.timeout(arrival)
+            yield from link.transfer(4)
+            done.append((name, env.now))
+
+        def collapse():
+            yield env.timeout(1.0)
+            link.params = replace(link.params, bandwidth=1.0)
+
+        env.process(sender("a", 0.0))
+        env.process(sender("b", 0.5))
+        env.process(collapse())
+        env.run()
+        # b's serialization was drawn at the hand-off (1.0) at 4 B/s.
+        assert done == [("a", 1.0), ("b", 2.0)]
+        assert link.stats.busy_time == 2.0
+
+    def test_hand_off_order_follows_priority(self):
+        env = Environment()
+        cpu = _cpu(env)
+        done = []
+
+        def user(name, arrival, burst, priority):
+            yield env.timeout(arrival)
+            yield from cpu.execute(burst, priority)
+            done.append((name, env.now))
+
+        env.process(user("holder", 0.0, 1.0, 0))
+        env.process(user("late", 0.25, 0.5, 2))
+        env.process(user("first", 0.5, 0.25, 0))
+        env.process(user("middle", 0.75, 0.25, 1))
+        env.run()
+        assert done == [("holder", 1.0), ("first", 1.25), ("middle", 1.5), ("late", 2.0)]
+        assert env.inline_grants == 4
