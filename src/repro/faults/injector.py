@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..simulation import Environment, RandomStreams
+from ..simulation import Environment, RandomStreams, Request
 from .plan import FaultPlan, PartitionFault, ScheduledFault
 
 __all__ = ["MessageFate", "FaultStats", "FaultInjector"]
@@ -254,10 +254,14 @@ class FaultInjector:
             self.stats.noops += 1
 
     def _stall(self, resource, duration: float):
-        """Hold a capacity-1 resource so everything behind it queues."""
-        with resource.request(priority=-(10**6)) as grant:
-            yield grant
-            yield self.env.timeout(duration)
+        """Serve a stall of ``duration`` on a capacity-1 resource, ahead
+        of every other waiter, so everything behind it queues."""
+        stall = resource.serve(-(10**6), float, duration)
+        if stall.__class__ is Request:
+            try:
+                yield stall
+            finally:
+                resource.release(stall)
 
     def _collapse_nic(self, server, fault: ScheduledFault):
         for link in (server.nic_out, server.nic_in):

@@ -25,7 +25,6 @@ __all__ = [
     "UnboundedRetryRule",
     "DynamicMetricNameRule",
     "EagerPeriodicLoopRule",
-    "UnconsumedHoldRule",
     "UnconsumedServiceRule",
     "DigestOwnerRule",
 ]
@@ -788,98 +787,6 @@ class EagerPeriodicLoopRule(Rule):
         return False
 
 
-@register
-class UnconsumedHoldRule(Rule):
-    """SLK012: a ``.hold(...)`` result not yielded at once or skipped on ``None``.
-
-    :meth:`repro.simulation.core.Environment.hold` either advances time
-    in place and returns ``None``, or returns a scheduled timeout that
-    the process must wait on before it does anything else.  The only
-    safe shape is an assignment followed at once by the skip::
-
-        hold = env.hold(delay)
-        if hold is not None:
-            yield hold
-
-    Anything else breaks one of the two outcomes: ``yield env.hold(d)``
-    yields ``None`` when time advanced in place; a discarded, stored or
-    combined (``any_of``/``all_of``) result, or other statements run
-    first, lets the process act before the hold's end when it is a
-    timeout.  Use ``env.timeout`` where the event itself is needed.
-    """
-
-    id = "SLK012"
-    summary = "`.hold(...)` result not yielded at once or skipped when None"
-
-    def visit_Module(self, node: ast.Module) -> None:
-        consumed = set()
-        for parent in ast.walk(node):
-            for field in ("body", "orelse", "finalbody"):
-                block = getattr(parent, field, None)
-                if not isinstance(block, list):
-                    continue
-                for stmt, following in zip(block, block[1:]):
-                    call = self._assigned_hold(stmt)
-                    if call is not None and self._skips_none(
-                        following, stmt.targets[0].id
-                    ):
-                        consumed.add(call)
-        for sub in ast.walk(node):
-            if _is_hold_call(sub) and sub not in consumed:
-                self.report(
-                    sub,
-                    "`.hold(...)` result must be consumed at once: assign "
-                    "it, then `if <name> is not None: yield <name>` as the "
-                    "next statement — it is None when time advanced in "
-                    "place, and a timeout the process must wait on "
-                    "otherwise",
-                )
-
-    @staticmethod
-    def _assigned_hold(stmt: ast.stmt) -> Optional[ast.Call]:
-        """The call of ``<name> = <x>.hold(...)``, else None."""
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and _is_hold_call(stmt.value)
-        ):
-            return stmt.value
-        return None
-
-    @staticmethod
-    def _skips_none(stmt: ast.stmt, name: str) -> bool:
-        """True for exactly ``if <name> is not None: yield <name>``."""
-        if not isinstance(stmt, ast.If) or stmt.orelse or len(stmt.body) != 1:
-            return False
-        test = stmt.test
-        if not (
-            isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and test.left.id == name
-            and len(test.ops) == 1
-            and isinstance(test.ops[0], ast.IsNot)
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None
-        ):
-            return False
-        body = stmt.body[0]
-        return (
-            isinstance(body, ast.Expr)
-            and isinstance(body.value, ast.Yield)
-            and isinstance(body.value.value, ast.Name)
-            and body.value.value.id == name
-        )
-
-
-def _is_hold_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "hold"
-    )
-
-
 #: Resource services that do their work when called (see
 #: :class:`UnconsumedServiceRule`): method name -> pattern the receiver's
 #: own name must match.  ``_access_page`` is the engine's page access,
@@ -930,7 +837,7 @@ class UnconsumedServiceRule(Rule):
     and the engine's ``_access_page`` do their work when called: a
     service that fits before the next event runs there and returns
     ``()``; otherwise it returns a generator that finishes the work —
-    possibly holding a unit it claimed at the call.  Inside a process
+    holding the unit its service started on at the call.  Inside a process
     (a generator function) the only safe shape is therefore::
 
         yield from cpu.execute(cost)

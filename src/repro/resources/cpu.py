@@ -4,14 +4,13 @@ The paper's testbed uses quad-core 2.4 GHz Xeons.  CPU is rarely the
 bottleneck in its experiments (disk is), but migration still carries
 "processing overhead" (Section 3), so we model cores as a capacity-N
 queueing resource that query execution and snapshot processing both
-occupy for short slices.
+hold for short slices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource, default_rng
@@ -82,57 +81,36 @@ class Cpu:
         return mean_seconds
 
     def execute(self, mean_seconds: float, priority: int = 0) -> Iterable:
-        """Occupy one core for a burst of roughly ``mean_seconds``.
+        """Run a burst of roughly ``mean_seconds`` on one core.
 
         Consume the result at once with ``yield from`` inside a process.
-        When a core is free and the whole burst ends before the next
-        event the kernel would process, the burst runs here: ``now``
-        advances past it and ``()`` comes back.  Otherwise a process
-        generator that finishes the burst comes back.  Outside a
-        process it is always a generator, which does all of the work
-        once it runs.
+        The burst is one :meth:`Resource.serve`: when it runs in place
+        ``now`` has advanced past it and ``()`` comes back; otherwise a
+        generator that waits for its end.  Outside a process it is
+        always a generator, which does all of the work once it runs.
         """
         if mean_seconds < 0:
             raise ValueError(f"mean_seconds must be >= 0, got {mean_seconds}")
-        cores = self._cores
-        horizon = cores.claim_in_place()
-        if horizon is None:
-            return self._burst(mean_seconds, priority)
-        burst = self.burst_time(mean_seconds)
-        env = self.env
-        end = env._now + burst
-        if horizon > end:
-            env._now = end
-            env._held += 1
+        if self.env._active_process is None:
+            return self._later(mean_seconds, priority)
+        burst = self._cores.serve(priority, self.burst_time, mean_seconds)
+        if burst.__class__ is Request:
+            return self._wait(burst)
+        stats = self.stats
+        stats.bursts += 1
+        stats.busy_time += burst
+        return ()
+
+    def _later(self, mean_seconds: float, priority: int) -> Generator:
+        """Process: :meth:`execute` called outside a process, run once started."""
+        yield from self.execute(mean_seconds, priority)
+
+    def _wait(self, grant: Request) -> Generator:
+        """Process: wait for a burst that did not end in place, then free its core."""
+        try:
+            burst = yield grant
             stats = self.stats
             stats.bursts += 1
             stats.busy_time += burst
-            return ()
-        return self._burst(mean_seconds, priority, cores.occupy(priority), burst)
-
-    def _burst(
-        self,
-        mean_seconds: float,
-        priority: int,
-        grant: Optional[Request] = None,
-        burst: Optional[float] = None,
-    ) -> Generator:
-        """Process: the part of :meth:`execute` that waits on the kernel.
-
-        Without ``grant`` it queues for a core, and the burst is drawn
-        the instant one is granted (:meth:`Resource.serve`); the grant
-        fires at the burst's end.  With one (a core :meth:`execute`
-        claimed in place) the drawn ``burst`` ends past the horizon,
-        so it waits on a timeout.
-        """
-        cores = self._cores
-        if grant is None:
-            grant = done = cores.serve(priority, partial(self.burst_time, mean_seconds))
-        else:
-            done = self.env.timeout(burst, burst)
-        try:
-            burst = yield done
-            self.stats.bursts += 1
-            self.stats.busy_time += burst
         finally:
-            cores.release(grant)
+            self._cores.release(grant)

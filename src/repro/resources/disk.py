@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource, default_rng
@@ -166,10 +165,14 @@ class Disk:
             return self.rng.expovariate(1.0 / params.seek_time)
         return params.seek_time
 
-    def _service(
-        self, nbytes: int, sequential: bool, stream: Optional[str], cached: bool
-    ) -> float:
-        """Draw the in-service time and update arm-position state."""
+    def _service(self, access: tuple) -> float:
+        """At the grant: count the time queued, then draw the in-service
+        time and update arm-position state.
+
+        ``access`` is ``(queued_at, nbytes, sequential, stream, cached)``.
+        """
+        queued_at, nbytes, sequential, stream, cached = access
+        self.stats.queue_time += self.env._now - queued_at
         params = self.params
         if cached:
             return nbytes / params.sequential_bandwidth
@@ -199,32 +202,26 @@ class Disk:
     ) -> Iterable:
         """Queue on the arm, then serve; ``()`` when it all ran in place.
 
-        The contract of :meth:`~repro.resources.cpu.Cpu.execute`: with
-        the arm free and the service ending before the next event the
-        kernel would process, the access runs here and ``()`` comes
-        back; otherwise a process generator that finishes it.
+        The contract of :meth:`~repro.resources.cpu.Cpu.execute`: the
+        access is one :meth:`Resource.serve`, which runs it here when it
+        ends before the next event the kernel would process, and ``()``
+        comes back; otherwise a generator that waits for its end.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        arm = self._arm
-        horizon = arm.claim_in_place()
-        if horizon is None:
-            return self._serve(nbytes, sequential, stream, is_write, cached, priority)
-        service = self._service(nbytes, sequential, stream, cached)
         env = self.env
-        end = env._now + service
-        if horizon > end:
-            env._now = end
-            env._held += 1
-            self.stats.busy_time += service
-            self._count(nbytes, sequential, is_write, cached)
-            return ()
-        return self._serve(
-            nbytes, sequential, stream, is_write, cached, priority,
-            arm.occupy(priority), service,
+        if env._active_process is None:
+            return self._later(nbytes, sequential, stream, is_write, cached, priority)
+        service = self._arm.serve(
+            priority, self._service, (env._now, nbytes, sequential, stream, cached)
         )
+        if service.__class__ is Request:
+            return self._wait(service, nbytes, sequential, is_write, cached)
+        self.stats.busy_time += service
+        self._count(nbytes, sequential, is_write, cached)
+        return ()
 
-    def _serve(
+    def _later(
         self,
         nbytes: int,
         sequential: bool,
@@ -232,43 +229,25 @@ class Disk:
         is_write: bool,
         cached: bool,
         priority: int,
-        grant: Optional[Request] = None,
-        service: Optional[float] = None,
     ) -> Generator:
-        """Process: the part of :meth:`_access` that waits on the kernel.
+        """Process: :meth:`_access` called outside a process, run once started."""
+        yield from self._access(nbytes, sequential, stream, is_write, cached, priority)
 
-        Without ``grant`` it queues on the arm, and the service starts
-        the instant the arm is granted (:meth:`_start`); the grant fires
-        at the service's end.  With one (the arm :meth:`_access` claimed
-        in place) the drawn ``service`` ends past the horizon, so it
-        waits on a timeout.
-        """
-        arm = self._arm
-        if grant is None:
-            start = partial(
-                self._start, self.env._now, nbytes, sequential, stream, cached
-            )
-            grant = done = arm.serve(priority, start)
-        else:
-            done = self.env.timeout(service, service)
+    def _wait(
+        self,
+        grant: Request,
+        nbytes: int,
+        sequential: bool,
+        is_write: bool,
+        cached: bool,
+    ) -> Generator:
+        """Process: wait for an access that did not end in place, then free the arm."""
         try:
-            service = yield done
+            service = yield grant
             self.stats.busy_time += service
             self._count(nbytes, sequential, is_write, cached)
         finally:
-            arm.release(grant)
-
-    def _start(
-        self,
-        queued_at: float,
-        nbytes: int,
-        sequential: bool,
-        stream: Optional[str],
-        cached: bool,
-    ) -> float:
-        """At the grant: count the time queued, then draw the service."""
-        self.stats.queue_time += self.env._now - queued_at
-        return self._service(nbytes, sequential, stream, cached)
+            self._arm.release(grant)
 
     def _count(
         self, nbytes: int, sequential: bool, is_write: bool, cached: bool

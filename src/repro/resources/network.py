@@ -11,7 +11,6 @@ and target" extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource
@@ -77,61 +76,44 @@ class NetworkLink:
         """Push ``nbytes`` through this link direction.
 
         The contract of :meth:`~repro.resources.cpu.Cpu.execute`: with
-        the wire free and serialization and propagation both ending
-        before the next event the kernel would process, the transfer
-        runs here and ``()`` comes back; otherwise a process generator
+        serialization (one :meth:`Resource.serve`) and propagation both
+        ending before the next event the kernel would process, the
+        transfer runs here and ``()`` comes back; otherwise a generator
         that finishes it.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        wire = self._wire
-        horizon = wire.claim_in_place()
-        if horizon is None:
-            return self._send(nbytes, priority)
-        serialization = nbytes / self.params.bandwidth
         env = self.env
-        sent = env._now + serialization
-        if not horizon > sent:
-            return self._send(nbytes, priority, wire.occupy(priority), serialization)
-        env._now = sent
-        env._held += 1
-        self.stats.busy_time += serialization
+        if env._active_process is None:
+            return self._later(nbytes, priority)
+        serialization = self._wire.serve(priority, self._serialization, nbytes)
+        if serialization.__class__ is Request:
+            return self._send(serialization, nbytes)
+        stats = self.stats
+        stats.busy_time += serialization
         latency = self.params.latency
         if latency > 0:
-            arrived = sent + latency
-            if not horizon > arrived:
+            arrived = env._now + latency
+            if not env._horizon() > arrived:
                 return self._propagate(nbytes)
             env._now = arrived
             env._held += 1
-        self.stats.transfers += 1
-        self.stats.bytes_sent += nbytes
+        stats.transfers += 1
+        stats.bytes_sent += nbytes
         return ()
 
-    def _send(
-        self,
-        nbytes: int,
-        priority: int,
-        grant: Optional[Request] = None,
-        serialization: Optional[float] = None,
-    ) -> Generator:
-        """Process: the part of :meth:`transfer` that waits on the kernel.
+    def _later(self, nbytes: int, priority: int) -> Generator:
+        """Process: :meth:`transfer` called outside a process, run once started."""
+        yield from self.transfer(nbytes, priority)
 
-        Without ``grant`` it queues for the wire, and serialization
-        starts the instant the wire is granted (:meth:`_serialization`);
-        the grant fires at its end.  With one (the wire :meth:`transfer`
-        claimed in place) ``serialization`` ends past the horizon, so it
-        waits on a timeout.
-        """
-        wire = self._wire
-        if grant is None:
-            grant = done = wire.serve(priority, partial(self._serialization, nbytes))
-        else:
-            done = self.env.timeout(serialization, serialization)
+    def _send(self, grant: Request, nbytes: int) -> Generator:
+        """Process: wait for serialization that did not end in place,
+        free the wire, then propagate."""
         try:
-            serialization = yield done
+            serialization = yield grant
             self.stats.busy_time += serialization
         finally:
-            wire.release(grant)
+            self._wire.release(grant)
         yield from self._propagate(nbytes)
 
     def _serialization(self, nbytes: int) -> float:
@@ -139,10 +121,19 @@ class NetworkLink:
         return nbytes / self.params.bandwidth
 
     def _propagate(self, nbytes: int) -> Generator:
-        """Process: propagation, off the wire (pipelined with later sends)."""
-        if self.params.latency > 0:
-            hold = self.env.hold(self.params.latency)
-            if hold is not None:
-                yield hold
+        """Process: propagation, off the wire (pipelined with later sends).
+
+        It passes in place when it ends before the next event the
+        kernel would process, and waits on a timeout otherwise.
+        """
+        latency = self.params.latency
+        if latency > 0:
+            env = self.env
+            arrived = env._now + latency
+            if env._horizon() > arrived:
+                env._now = arrived
+                env._held += 1
+            else:
+                yield env.timeout(latency)
         self.stats.transfers += 1
         self.stats.bytes_sent += nbytes

@@ -18,7 +18,7 @@ from .core import (
     StopSimulation,
     Timeout,
 )
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Container, Request, Resource, Store
 from .rng import RandomStreams, default_rng, derive_seed
 from .timers import PeriodicTicker
 from .trace import Series, Trace, float_sum, sliding_window_average
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "PeriodicTicker",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "default_rng",

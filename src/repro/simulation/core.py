@@ -403,8 +403,8 @@ class Environment:
     0 < 1), and urgent arrivals preempt the remainder of a same-time
     bucket exactly as a lower heap key would.  The original scheduler
     is kept verbatim as a test oracle (``tests/reference_kernel.py``),
-    and ``tests/test_calendar_queue.py`` replays experiment seeds
-    through both and asserts identical trajectories.
+    and ``tests/test_kernel_oracle.py`` replays random scripts and
+    experiment seeds through both and asserts identical trajectories.
     """
 
     __slots__ = (
@@ -436,9 +436,9 @@ class Environment:
         self._processed = 0
         #: Tick events coalescing avoided (see :attr:`elided_events`).
         self._elided = 0
-        #: Grants that continued in place (see :attr:`inline_grants`).
+        #: Grants, none of which costs an event (see :attr:`inline_grants`).
         self._inline = 0
-        #: Holds that continued in place (see :attr:`inline_holds`).
+        #: Waits that continued in place (see :attr:`inline_holds`).
         self._held = 0
         #: True while one event is dispatched to several callbacks, or
         #: through :meth:`step`; nothing continues in place meanwhile.
@@ -486,12 +486,9 @@ class Environment:
     def inline_grants(self) -> int:
         """Resource grants that cost no event.
 
-        Each one is a grant event the kernel would have processed next
-        anyway, so :meth:`~repro.simulation.resources.Resource.request`
-        returned it already processed instead of scheduling it, or a
-        grant that started its service at once
-        (:meth:`~repro.simulation.resources.Resource.serve`), whose
-        waiter resumes only at the service's end.
+        Every grant is one: a unit is granted to a service that starts
+        at once (:meth:`~repro.simulation.resources.Resource.serve`),
+        whose caller resumes only at the service's end, if at all.
         ``processed_events + inline_grants`` is what the same trajectory
         costs when every grant is an event.  Kept apart from
         :attr:`elided_events`, which counts coalesced ticks.
@@ -500,11 +497,13 @@ class Environment:
 
     @property
     def inline_holds(self) -> int:
-        """Holds that advanced time in place instead of scheduling a timeout.
+        """Services and waits that advanced time in place.
 
-        Each one is a :meth:`hold` whose timeout the kernel would have
-        processed next anyway.  ``processed_events + inline_grants +
-        inline_holds`` is what the same trajectory costs when every
+        Each one is a timeout the kernel would have processed next
+        anyway: a service that ended before the horizon
+        (:meth:`~repro.simulation.resources.Resource.serve`) or a NIC
+        propagation delay that did.  ``processed_events + inline_grants
+        + inline_holds`` is what the same trajectory costs when every
         grant and every hold is an event.  Kept apart from
         :attr:`inline_grants` and :attr:`elided_events`.
         """
@@ -542,29 +541,6 @@ class Environment:
         if urgent and urgent[0][0] < horizon:
             return urgent[0][0]
         return horizon
-
-    def hold(self, delay: float) -> Optional[Timeout]:
-        """Pass ``delay`` time units in the active process.
-
-        When ``timeout(delay)`` would be the very next event processed
-        (``_horizon() > now + delay``), time advances in place: ``now``
-        becomes ``now + delay``, the float the timeout would fire at,
-        :attr:`inline_holds` counts it, and ``None`` comes back.
-        Otherwise the scheduled timeout comes back, exactly as
-        :meth:`timeout` builds it.
-
-        The caller must yield a returned timeout before it does
-        anything else, and skip the yield on ``None``::
-
-            hold = env.hold(delay)
-            if hold is not None:
-                yield hold
-        """
-        if delay >= 0 and self._horizon() > self._now + delay:
-            self._now += delay
-            self._held += 1
-            return None
-        return self.timeout(delay)
 
     # -- event factories -------------------------------------------------
 

@@ -2,10 +2,9 @@
 
 Provides the queueing building blocks used throughout the reproduction:
 
-* :class:`Resource` — a server with fixed capacity and a FIFO queue
-  (disk arms, CPU cores, client threads).
-* :class:`PriorityResource` — same, but requests carry priorities
-  (lower value = served first).
+* :class:`Resource` — a server with fixed capacity and a priority-then-
+  FIFO queue (disk arms, CPU cores, NIC wires), used only through
+  :meth:`Resource.serve`.
 * :class:`Container` — a continuous level that processes put into and
   get from (the token bucket of the migration throttle).
 * :class:`Store` — a FIFO queue of discrete items (message queues in
@@ -16,19 +15,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Union
 
 from .core import _PENDING, Environment, Event
 
 #: Bound once at import: the grant/release cycle is on every
-#: operation's path (see :meth:`Resource.request`).
+#: operation's path (see :meth:`Resource.serve`).
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _new_event = object.__new__
 
 __all__ = [
     "Resource",
-    "PriorityResource",
     "Request",
     "Container",
     "Store",
@@ -36,48 +34,26 @@ __all__ = [
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource`.
+    """A unit of a :class:`Resource` in service, or queued for one.
 
-    Built by :meth:`Resource.request`; ``Request(resource, priority)``
-    is the same call.  :meth:`Resource.serve` builds one that starts a
-    service at its grant.  Usable as a context manager so the resource
-    is always released:
-
-    >>> with resource.request() as req:   # doctest: +SKIP
-    ...     yield req
-    ...     ...  # use the resource
+    Built by :meth:`Resource.serve`.  It fires once, at the end of the
+    service started on its grant, with the service time as its value;
+    give the unit back with :meth:`Resource.release`.
     """
 
-    __slots__ = ("resource", "priority", "granted_at", "start")
-
-    def __new__(cls, resource: "Resource", priority: int = 0) -> "Request":
-        return resource.request(priority)
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        # Fully built by Resource.request (reached through __new__).
-        pass
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Release the claim (granted) or withdraw it (still queued)."""
-        self.resource.release(self)
+    __slots__ = ("granted_at", "start", "arg")
 
 
 class Resource:
-    """A capacity-limited resource with a FIFO request queue.
+    """A capacity-limited resource with a priority-then-FIFO queue.
 
     The queue is non-empty only while every unit is in use: a release
-    grants the head of the queue at once, and a request that finds a
-    free unit is granted on the spot.  That invariant is the fast path
-    — an uncontended request never touches the wait heap, and when
-    nothing else could run first its grant costs no event either.  A
-    request from :meth:`serve` starts its service at the grant, so it
-    costs one event, at the service's end, whether it queued or not.
+    hands the unit straight to the head of the queue, and a call that
+    finds a unit free is granted on the spot.  Every use of a unit is a
+    service started at its grant (:meth:`serve`), so a grant never
+    costs an event: a service costs one event, at its end, or none
+    when it ends before anything else could run.  Lower ``priority``
+    values are granted first; ties are FIFO.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -91,131 +67,74 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of granted (in-use) requests."""
+        """Number of units in service."""
         return len(self.users)
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for capacity."""
+        """Number of requests waiting for a unit."""
         return len(self._queue)
 
-    def claim_in_place(self) -> Optional[float]:
-        """Claim a free unit when its grant would be the next event processed.
+    def serve(
+        self, priority: int, start: Callable[[Any], float], arg: Any
+    ) -> Union[float, Request]:
+        """Take one unit and start a service on it the instant it is granted.
 
-        With a unit free and the kernel's
-        :meth:`~repro.simulation.core.Environment._horizon` after
-        ``now``, the grant that :meth:`request` would schedule is
-        processed next anyway: it is counted in
-        :attr:`~repro.simulation.core.Environment.inline_grants`, the
-        caller holds the unit from here on, and the horizon comes back
-        — the caller's use of the unit may continue in place for as long
-        as it ends before it.  Otherwise ``None`` comes back and nothing
-        is claimed.
+        ``start(arg)`` draws the service time.  It takes one argument,
+        not ``*args``: in CPython a call through ``*args`` costs about
+        twice as much, and every CPU burst and disk access makes one.
+        With a unit free it is
+        called here and the grant is counted in
+        :attr:`~repro.simulation.core.Environment.inline_grants`.  If the
+        service then ends before the next event the kernel would process
+        (:meth:`~repro.simulation.core.Environment._horizon` after
+        ``now + service``), it runs in place: ``now`` advances to its
+        end, :attr:`~repro.simulation.core.Environment.inline_holds`
+        counts it, the unit is free again, and the drawn service time
+        comes back.
 
-        The unit is recorded only if the caller must wait on an event
-        while it holds it (:meth:`occupy`); a use that ends before the
-        horizon needs no record, since nothing else runs in between.
-        """
-        if len(self.users) < self.capacity:
-            env = self.env
-            horizon = env._horizon()
-            if horizon > env._now:
-                env._inline += 1
-                return horizon
-        return None
-
-    def occupy(self, priority: int = 0) -> Request:
-        """Record a unit claimed by :meth:`claim_in_place` as a granted request.
-
-        The request comes back already processed; release it with
-        :meth:`release` like any other grant.
-        """
-        request = _new_event(Request)
-        request.env = self.env
-        request.callbacks = None
-        request._defused = False
-        request._ok = True
-        request._value = None
-        request.resource = self
-        request.priority = priority
-        request.granted_at = self.env._now
-        self.users.append(request)
-        return request
-
-    def request(self, priority: int = 0) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted.
-
-        A grant is scheduled at the current time, exactly where
-        ``succeed()`` would schedule it — unless that event would be
-        the very next one processed anyway (:meth:`claim_in_place`).
-        Then the grant comes back already processed and the caller
-        continues in place.  The caller must yield the grant, or skip
-        the yield when ``grant.callbacks is None``, before it schedules
-        anything else at this instant.
-        """
-        if self.claim_in_place() is not None:
-            return self.occupy(priority)
-        env = self.env
-        request = _new_event(Request)
-        request.env = env
-        request.callbacks = []
-        request._defused = False
-        request.resource = self
-        request.priority = priority
-        users = self.users
-        if len(users) < self.capacity:
-            users.append(request)
-            request.granted_at = env._now
-            request._ok = True
-            request._value = None
-            env._schedule(request)
-        else:
-            request.granted_at = None
-            request.start = None
-            request._ok = None
-            request._value = _PENDING
-            _heappush(self._queue, (priority, next(self._seq), request))
-        return request
-
-    def serve(self, priority: int, start: Callable[[], float]) -> Request:
-        """Claim one unit and start a service on it the instant it is granted.
-
-        ``start()`` draws the service time.  It is called here when a
-        unit is free, or inside the :meth:`release` that hands the unit
-        over when the request queued; the grant then costs no event
-        (it is counted in
-        :attr:`~repro.simulation.core.Environment.inline_grants`), and
-        the returned request fires once, at grant + service, with the
-        service time as its value.  ``granted_at`` is the grant time.
-        A request withdrawn while queued is never started; release one
-        that is in service as any other grant.
+        Otherwise a :class:`Request` comes back; the caller yields it
+        at once and releases it with :meth:`release`.  A request that
+        found a unit free fires at ``now + service``.  One that queued
+        is started inside the :meth:`release` that hands it the unit
+        (counted in ``inline_grants`` there) and fires at grant +
+        service.  ``granted_at`` is the grant time.  A request withdrawn
+        while queued is never started.
         """
         env = self.env
-        request = _new_event(Request)
-        request.env = env
-        request.callbacks = []
-        request._defused = False
-        request.resource = self
-        request.priority = priority
         users = self.users
         if len(users) < self.capacity:
-            users.append(request)
-            request.granted_at = env._now
             env._inline += 1
-            delay = start()
+            service = start(arg)
+            end = env._now + service
+            if env._horizon() > end:
+                env._now = end
+                env._held += 1
+                return service
+            request = _new_event(Request)
+            request.env = env
+            request.callbacks = []
+            request._defused = False
+            users.append(request)
+            request.granted_at = env._now
             request._ok = True
-            request._value = delay
-            env._schedule(request, delay=delay)
-        else:
-            request.granted_at = None
-            request.start = start
-            request._ok = None
-            request._value = _PENDING
-            _heappush(self._queue, (priority, next(self._seq), request))
+            request._value = service
+            env._schedule(request, delay=service)
+            return request
+        request = _new_event(Request)
+        request.env = env
+        request.callbacks = []
+        request._defused = False
+        request.granted_at = None
+        request.start = start
+        request.arg = arg
+        request._ok = None
+        request._value = _PENDING
+        _heappush(self._queue, (priority, next(self._seq), request))
         return request
 
     def release(self, request: Request) -> None:
-        """Release a granted request, or withdraw one still queued."""
+        """Give back a unit in service, or withdraw a request still queued."""
         try:
             self.users.remove(request)
         except ValueError:
@@ -229,29 +148,18 @@ class Resource:
     # -- internals --------------------------------------------------------
 
     def _trigger(self) -> None:
+        """Hand free units to the head of the queue, starting each service."""
         env = self.env
         queue = self._queue
         users = self.users
         while queue and len(users) < self.capacity:
             request = _heappop(queue)[2]
-            users.append(request)
             request.granted_at = env._now
             request._ok = True
-            start = request.start
-            if start is None:
-                request._value = None
-                env._schedule(request)
-            else:  # served: the unit's service starts at the hand-off
-                env._inline += 1
-                delay = request._value = start()
-                env._schedule(request, delay=delay)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority.
-
-    Lower ``priority`` values are granted first; ties are FIFO.
-    """
+            env._inline += 1
+            delay = request._value = request.start(request.arg)
+            users.append(request)
+            env._schedule(request, delay=delay)
 
 
 class Container:

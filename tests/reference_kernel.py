@@ -1,33 +1,27 @@
 """Reference implementations kept only as test oracles.
 
-Each class here is a retired ``src/`` implementation, kept verbatim so
-A/B tests can replay the same workload through it and through the
-current fast path and demand identical trajectories:
+Each class here is a retired or plainest-form ``src/`` implementation,
+kept so A/B tests can replay the same workload through it and through
+the current fast path and demand identical trajectories
+(``tests/test_kernel_oracle.py``, except where noted):
 
 * :class:`HeapEnvironment` — the single-``heapq`` event scheduler the
-  calendar-queue :class:`~repro.simulation.core.Environment` replaced
-  (``tests/test_calendar_queue.py``);
-* :class:`Resource` / :class:`Request` — the capacity-limited resource
-  before its direct-grant fast path: every request pushed onto the
-  wait heap and popped back off, granted through ``succeed()``, and
-  released through the ``with`` protocol
-  (``tests/test_resource_fast_path.py``);
+  calendar-queue :class:`~repro.simulation.core.Environment` replaced;
+  it never continues anything in place;
+* :class:`Resource` — the capacity-limited resource in its plainest
+  form: every call of :meth:`Resource.serve` is pushed onto the wait
+  heap and popped back off, its service drawn at the grant, and its
+  request fires at grant + service; nothing runs in place;
 * :func:`process_per_txn_worker_loop` / :func:`process_per_txn_user_loop`
   — the open and closed benchmark clients' loops before transactions
-  ran inline: each transaction in its own child ``Process``
-  (``tests/test_inline_transactions.py``);
+  ran inline: each transaction in its own child ``Process``;
 * :class:`EagerThrottle` — the throttle's eager refill loop, one kernel
   event per tick, before refills were coalesced
   (``tests/test_coalesced_timers.py``);
 * :class:`GeneratorCpu` / :class:`GeneratorDisk` /
-  :class:`GeneratorNetworkLink` — the CPU, disk and NIC services before
-  they finished in place: each call a generator that does all of its
-  work once it runs, queued through the reference :class:`Resource`'s
-  :meth:`Resource.serve` (``tests/test_service_in_place.py``).
-
-The reference :class:`Resource` keeps one addition to the verbatim
-original: :meth:`Resource.serve`, the grant-time start of the current
-contract in its plainest form.
+  :class:`GeneratorNetworkLink` — the CPU, disk and NIC services as
+  generators that do all of their work once they run, queued through
+  the reference :class:`Resource`.
 
 Nothing under ``src/`` imports this module.
 """
@@ -36,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import replace
 from typing import Any, Generator, Optional
 
 from repro.migration.throttle import Throttle
@@ -52,6 +45,7 @@ from repro.simulation.core import (
     StopSimulation,
     Timeout,
 )
+from repro.simulation.resources import Request
 from repro.workload.client import _resolve_engine
 
 _heappush = heapq.heappush
@@ -63,9 +57,7 @@ __all__ = [
     "GeneratorDisk",
     "GeneratorNetworkLink",
     "HeapEnvironment",
-    "Request",
     "Resource",
-    "assert_fleet_records_match",
     "process_per_txn_user_loop",
     "process_per_txn_worker_loop",
 ]
@@ -74,15 +66,12 @@ __all__ = [
 class HeapEnvironment(Environment):
     """The original single-``heapq`` scheduler, kept verbatim.
 
-    Reference implementation for the calendar queue's A/B bit-identity
-    fixture: ``tests/test_calendar_queue.py`` replays the same seeds
-    through an :class:`Environment` and a :class:`HeapEnvironment` and
-    asserts identical trajectories.  Not used by any experiment path.
-
-    It never continues in place: every grant and every hold is a
-    scheduled event, so its ``processed_events`` is the full cost the
-    fast kernel's ``processed_events + inline_grants + inline_holds``
-    must match.
+    Not used by any experiment path.  It never continues in place
+    (its horizon is ``-inf``): every service and every wait is a
+    scheduled event, so its ``processed_events + inline_grants`` (the
+    grants that start a service cost no event on either kernel) is the
+    full cost the fast kernel's ``processed_events + inline_grants +
+    inline_holds`` must match.
     """
 
     __slots__ = ("_heap_queue",)
@@ -96,7 +85,7 @@ class HeapEnvironment(Environment):
         return Timeout(self, delay, value)
 
     def _horizon(self) -> float:
-        """Never continue in place: every grant, hold and service is an event."""
+        """Never continue in place: every service and wait is an event."""
         return float("-inf")
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -180,37 +169,15 @@ class HeapEnvironment(Environment):
         return None
 
 
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource`.
-
-    Usable as a context manager so the resource is always released:
-
-    >>> with resource.request() as req:   # doctest: +SKIP
-    ...     yield req
-    ...     ...  # use the resource
-    """
-
-    def __init__(self, resource: "Resource", priority: int = 0, start=None):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        self.granted_at: Optional[float] = None
-        self.start = start
-        resource._do_request(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel()
-
-    def cancel(self) -> None:
-        """Release the claim (granted) or withdraw it (still queued)."""
-        self.resource._do_release(self)
-
-
 class Resource:
-    """A capacity-limited resource with a FIFO request queue."""
+    """A capacity-limited resource in its plainest form.
+
+    Every :meth:`serve` call is pushed onto the wait heap and popped back
+    off by :meth:`_trigger`, which grants it, draws its service and
+    schedules the request at grant + service; nothing runs in place.
+    The grant itself is no event, so it is counted in
+    ``inline_grants``, as the fast resource counts it.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity <= 0:
@@ -223,46 +190,29 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of granted (in-use) requests."""
+        """Number of units in service."""
         return len(self.users)
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for capacity."""
+        """Number of requests waiting for a unit."""
         return len(self._queue)
 
-    def request(self, priority: int = 0) -> Request:
-        """Claim one unit of capacity; the returned event fires when granted."""
-        return Request(self, priority)
-
-    def serve(self, priority: int, start) -> Request:
-        """Claim one unit; ``start()`` draws its service at the grant.
-
-        The request fires at grant + service with the service as its
-        value.  The grant itself is no event, so it is counted in
-        ``inline_grants``.
-        """
-        return Request(self, priority, start)
+    def serve(self, priority: int, start, arg) -> Request:
+        """Queue a service; ``start(arg)`` draws it at the grant."""
+        request = Request(self.env)
+        request.granted_at = None
+        request.start = start
+        request.arg = arg
+        heapq.heappush(self._queue, (priority, next(self._seq), request))
+        self._trigger()
+        return request
 
     def release(self, request: Request) -> None:
-        """Release a granted request (alias usable without ``with``)."""
-        self._do_release(request)
-
-    def claim_in_place(self) -> None:
-        """Never: every grant on this resource is a scheduled event."""
-        return None
-
-    # -- internals --------------------------------------------------------
-
-    def _do_request(self, request: Request) -> None:
-        heapq.heappush(self._queue, (request.priority, next(self._seq), request))
-        self._trigger()
-
-    def _do_release(self, request: Request) -> None:
+        """Give back a unit in service, or withdraw a request still queued."""
         try:
             self.users.remove(request)
         except ValueError:
-            # Not granted yet: withdraw from the wait queue instead.
             self._queue = [entry for entry in self._queue if entry[2] is not request]
             heapq.heapify(self._queue)
             return
@@ -273,14 +223,11 @@ class Resource:
             _, _, request = heapq.heappop(self._queue)
             self.users.append(request)
             request.granted_at = self.env.now
-            if request.start is None:
-                request.succeed()
-            else:
-                self.env._inline += 1
-                service = request.start()
-                request._ok = True
-                request._value = service
-                self.env._schedule(request, delay=service)
+            self.env._inline += 1
+            service = request.start(request.arg)
+            request._ok = True
+            request._value = service
+            self.env._schedule(request, delay=service)
 
 
 class GeneratorCpu(Cpu):
@@ -300,7 +247,7 @@ class GeneratorCpu(Cpu):
         if mean_seconds < 0:
             raise ValueError(f"mean_seconds must be >= 0, got {mean_seconds}")
         cores = self._cores
-        grant = cores.serve(priority, lambda: self.burst_time(mean_seconds))
+        grant = cores.serve(priority, self.burst_time, mean_seconds)
         try:
             burst = yield grant
             self.stats.bursts += 1
@@ -331,12 +278,12 @@ class GeneratorDisk(Disk):
         queued_at = env.now
         stats = self.stats
 
-        def start():
+        def start(_):
             stats.queue_time += env.now - queued_at
-            return self._service(nbytes, sequential, stream, cached)
+            return self._service((env.now, nbytes, sequential, stream, cached))
 
         arm = self._arm
-        grant = arm.serve(priority, start)
+        grant = arm.serve(priority, start, None)
         try:
             service = yield grant
             stats.busy_time += service
@@ -358,7 +305,7 @@ class GeneratorNetworkLink(NetworkLink):
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         wire = self._wire
-        grant = wire.serve(priority, lambda: nbytes / self.params.bandwidth)
+        grant = wire.serve(priority, lambda nbytes: nbytes / self.params.bandwidth, nbytes)
         try:
             serialization = yield grant
             self.stats.busy_time += serialization
@@ -418,21 +365,3 @@ class EagerThrottle(Throttle):
             yield self.env.timeout(self.tick)
             if self._running and self._rate > 0:
                 self._bucket.put(self._rate * self.tick)
-
-
-def assert_fleet_records_match(fast, reference, *, heap: bool = True) -> None:
-    """Equal ``FleetRecord``s, where ``fast`` continued some events in place.
-
-    Every field must match, except how the kernel events split: each
-    grant ``fast`` continued in place is counted in ``inline`` and each
-    hold in ``held`` rather than in ``events``, so only the totals must
-    be equal.  Both sides count a grant that starts a service
-    (``Resource.serve``) in ``inline``.  On the ``HeapEnvironment``
-    (``heap=True``) the reference never holds in place.
-    """
-    if heap:
-        assert reference.held == 0
-    total = reference.events + reference.inline + reference.held
-    assert fast.events + fast.inline + fast.held == total
-    costs = dict(events=0, inline=0, held=0)
-    assert replace(fast, **costs) == replace(reference, **costs)

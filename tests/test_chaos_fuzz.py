@@ -50,6 +50,7 @@ SCENARIOS = {
     "split-mid-migration": ("aborted", "messages_dropped_partition"),
     "flap-source-target": ("completed", "messages_dropped_partition"),
     "gray-target": ("completed", "faults_gray_drops"),
+    "stall-source": ("completed", "faults_disk_stalls"),
 }
 
 

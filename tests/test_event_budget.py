@@ -125,7 +125,7 @@ def test_fig5_throttle_point():
     cfg, spec = _fig5_config()
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(10577, 8117),
+        layer_calls=(9957, 7626),
     )
     assert counts == (1071, 1852, 1271)
 
@@ -136,7 +136,7 @@ def test_on_demand_point():
     spec = MigrationSpec.on_demand(mb_per_sec(8))
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(105475, 85627),
+        layer_calls=(101632, 83436),
     )
     assert counts == (11010, 18956, 15304)
 
@@ -147,7 +147,7 @@ def test_fluid_point():
     spec = MigrationSpec.fluid(mb_per_sec(8))
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(9811, 7685),
+        layer_calls=(9216, 7282),
     )
     assert counts == (979, 1745, 1228)
 
@@ -162,7 +162,7 @@ def test_chaos_fault_injection_point():
             warmup=2.0,
             run_limit=120.0,
         ),
-        layer_calls=(49046, 34172),
+        layer_calls=(46793, 32461),
     )
     assert counts == (5161, 8220, 6081)
 
@@ -179,7 +179,7 @@ def test_fleet_drain_point():
             warmup=10.0,
             run_limit=400.0,
         ),
-        layer_calls=(9781, 7441),
+        layer_calls=(9589, 7351),
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)

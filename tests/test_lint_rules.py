@@ -726,94 +726,6 @@ class TestSLK011EagerPeriodicLoop:
         assert "SLK011" not in rule_ids(src, rel_path=self.PATH)
 
 
-class TestSLK012UnconsumedHold:
-    def test_negative_assign_then_skip_none(self):
-        src = (
-            "def burst(env, delay):\n"
-            "    hold = env.hold(delay)\n"
-            "    if hold is not None:  # else time advanced in place\n"
-            "        yield hold\n"
-            "    env.done()\n"
-        )
-        assert "SLK012" not in rule_ids(src)
-
-    def test_negative_inside_try_and_if(self):
-        src = (
-            "def transfer(self, nbytes):\n"
-            "    try:\n"
-            "        hold = self.env.hold(nbytes / self.bandwidth)\n"
-            "        if hold is not None:\n"
-            "            yield hold\n"
-            "    finally:\n"
-            "        self.release()\n"
-            "    if self.latency > 0:\n"
-            "        wait = self.env.hold(self.latency)\n"
-            "        if wait is not None:\n"
-            "            yield wait\n"
-        )
-        assert "SLK012" not in rule_ids(src)
-
-    def test_positive_yielded_directly(self):
-        src = "def burst(env):\n    yield env.hold(1.0)\n"
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_passed_to_any_of(self):
-        src = (
-            "def race(env, grant):\n"
-            "    yield env.any_of([grant, env.hold(1.0)])\n"
-        )
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_stored(self):
-        src = (
-            "def arm(self, env):\n"
-            "    self.deadline = env.hold(1.0)\n"
-            "    yield self.grant\n"
-        )
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_discarded(self):
-        src = "def burst(env):\n    env.hold(1.0)\n    yield env.timeout(0)\n"
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_other_statement_first(self):
-        src = (
-            "def burst(env, stats):\n"
-            "    hold = env.hold(1.0)\n"
-            "    stats.bursts += 1\n"
-            "    if hold is not None:\n"
-            "        yield hold\n"
-        )
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_skip_tests_another_name(self):
-        src = (
-            "def burst(env, other):\n"
-            "    hold = env.hold(1.0)\n"
-            "    if other is not None:\n"
-            "        yield hold\n"
-        )
-        assert "SLK012" in rule_ids(src)
-
-    def test_positive_skip_with_else_branch(self):
-        src = (
-            "def burst(env):\n"
-            "    hold = env.hold(1.0)\n"
-            "    if hold is not None:\n"
-            "        yield hold\n"
-            "    else:\n"
-            "        env.note()\n"
-        )
-        assert "SLK012" in rule_ids(src)
-
-    def test_pragma_suppresses(self):
-        src = (
-            "def burst(env):\n"
-            "    yield env.hold(1.0)  # slackerlint: disable=SLK012\n"
-        )
-        assert "SLK012" not in rule_ids(src)
-
-
 class TestSLK013UnconsumedService:
     def test_negative_yield_from_in_a_process(self):
         src = (

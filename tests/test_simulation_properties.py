@@ -9,7 +9,7 @@ from repro.db.engine import DatabaseEngine
 from repro.db.pages import TableLayout
 from repro.resources.server import Server
 from repro.resources.units import MB
-from repro.simulation import Container, Environment, RandomStreams, Resource
+from repro.simulation import Container, Environment, RandomStreams, Request, Resource
 
 
 @settings(max_examples=50)
@@ -37,18 +37,26 @@ def test_time_never_goes_backwards(delays):
 def test_resource_never_exceeds_capacity(capacity, holds):
     env = Environment()
     resource = Resource(env, capacity=capacity)
-    max_in_use = [0]
+    in_use_at_grants = []
+
+    def start(hold):
+        # The units in service when one more is granted.
+        in_use_at_grants.append(resource.count)
+        return hold
 
     def holder(env, hold):
-        with resource.request() as grant:
-            yield grant
-            max_in_use[0] = max(max_in_use[0], resource.count)
-            yield env.timeout(hold)
+        grant = resource.serve(0, start, hold)
+        if grant.__class__ is Request:
+            try:
+                yield grant
+            finally:
+                resource.release(grant)
 
     for hold in holds:
         env.process(holder(env, hold))
     env.run()
-    assert max_in_use[0] <= capacity
+    assert len(in_use_at_grants) == len(holds)
+    assert max(in_use_at_grants) < capacity
     assert resource.count == 0
     assert resource.queue_length == 0
 
@@ -62,12 +70,19 @@ def test_single_server_grants_fifo(holds):
     resource = Resource(env, capacity=1)
     order = []
 
+    def start(grant):
+        index, hold = grant
+        order.append(index)
+        return hold
+
     def holder(env, index, hold):
         yield env.timeout(index * 1e-6)  # request in index order
-        with resource.request() as grant:
-            yield grant
-            order.append(index)
-            yield env.timeout(hold)
+        grant = resource.serve(0, start, (index, hold))
+        if grant.__class__ is Request:
+            try:
+                yield grant
+            finally:
+                resource.release(grant)
 
     for index, hold in enumerate(holds):
         env.process(holder(env, index, hold))

@@ -1,8 +1,29 @@
-"""Unit tests for Resource, PriorityResource, Container, and Store."""
+"""Unit tests for Resource, Container, and Store."""
 
 import pytest
 
-from repro.simulation import Container, PriorityResource, Resource, Store
+from repro.simulation import Container, Request, Resource, Store
+
+
+def use(res, duration, granted=None, tag=None, priority=0):
+    """Process body: serve ``duration`` on one unit of ``res``.
+
+    Appends ``(tag, grant time)`` to ``granted`` when the unit is
+    granted, and gives the unit back when the service ends.
+    """
+    env = res.env
+
+    def start(duration):
+        if granted is not None:
+            granted.append((tag, env.now))
+        return float(duration)
+
+    done = res.serve(priority, start, duration)
+    if done.__class__ is Request:
+        try:
+            yield done
+        finally:
+            res.release(done)
 
 
 class TestResource:
@@ -12,117 +33,91 @@ class TestResource:
 
     def test_grant_within_capacity_is_immediate(self, env):
         res = Resource(env, capacity=2)
-
-        def proc(env, res):
-            with res.request() as req:
-                yield req
-                return env.now
-
-        p1 = env.process(proc(env, res))
-        p2 = env.process(proc(env, res))
+        granted = []
+        env.process(use(res, 1, granted, "a"))
+        env.process(use(res, 1, granted, "b"))
         env.run()
-        assert p1.value == 0
-        assert p2.value == 0
+        assert granted == [("a", 0), ("b", 0)]
+        assert env.now == 1
 
     def test_excess_requests_queue_fifo(self, env):
         res = Resource(env, capacity=1)
-        order = []
-
-        def proc(env, res, tag, hold):
-            with res.request() as req:
-                yield req
-                order.append((tag, env.now))
-                yield env.timeout(hold)
-
-        env.process(proc(env, res, "first", 5))
-        env.process(proc(env, res, "second", 5))
-        env.process(proc(env, res, "third", 5))
+        granted = []
+        for tag in ("first", "second", "third"):
+            env.process(use(res, 5, granted, tag))
         env.run()
-        assert order == [("first", 0), ("second", 5), ("third", 10)]
+        assert granted == [("first", 0), ("second", 5), ("third", 10)]
 
     def test_count_and_queue_length(self, env):
         res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        env.process(holder(env, res))
-        env.process(holder(env, res))
+        env.process(use(res, 10))
+        env.process(use(res, 10))
         env.run(until=1)
         assert res.count == 1
         assert res.queue_length == 1
 
     def test_cancel_queued_request(self, env):
         res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        env.process(holder(env, res))
+        env.process(use(res, 10))
         env.run(until=1)
-        queued = res.request()
-        assert res.queue_length == 1
-        queued.cancel()
+        queued = res.serve(0, float, 1.0)
+        assert queued.__class__ is Request and res.queue_length == 1
+        res.release(queued)
         assert res.queue_length == 0
-
-    def test_release_via_context_manager(self, env):
-        res = Resource(env, capacity=1)
-
-        def quick(env, res):
-            with res.request() as req:
-                yield req
-            return env.now
-
-        p = env.process(quick(env, res))
         env.run()
-        assert p.value == 0
-        assert res.count == 0
+        assert queued.granted_at is None and not queued.triggered
+
+    def test_release_returns_the_unit(self, env):
+        res = Resource(env, capacity=1)
+        granted = []
+        env.process(use(res, 1, granted, "a"))
+        env.process(use(res, 1, granted, "b"))
+        env.run()
+        assert granted == [("a", 0), ("b", 1)]
+        assert res.count == 0 and env.now == 2
 
     def test_granted_at_recorded(self, env):
         res = Resource(env, capacity=1)
-
-        def holder(env, res, hold):
-            with res.request() as req:
-                yield req
-                yield env.timeout(hold)
+        grants = []
 
         def later(env, res):
             yield env.timeout(1)
-            with res.request() as req:
-                yield req
-                return req.granted_at
+            grants.append(res.serve(0, float, 1.0))
+            yield grants[0]
+            res.release(grants[0])
 
-        env.process(holder(env, res, 5))
-        p = env.process(later(env, res))
+        env.process(use(res, 5))
+        env.process(later(env, res))
         env.run()
-        assert p.value == 5
+        assert grants[0].granted_at == 5 and grants[0].value == 1.0
 
+    def test_service_ending_before_the_horizon_runs_in_place(self, env):
+        res = Resource(env, capacity=1)
+        seen = []
 
-class TestPriorityResource:
+        def proc(env):
+            yield env.timeout(1)
+            seen.append(res.serve(0, float, 0.5))
+            seen.append((env.now, res.count))
+
+        env.process(proc(env))
+        env.run()
+        assert seen == [0.5, (1.5, 0)]
+        assert (env.inline_grants, env.inline_holds) == (1, 1)
+
     def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
+        res = Resource(env, capacity=1)
+        granted = []
 
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def queued(env, res, tag, priority, delay):
+        def queued(env, tag, priority, delay):
             yield env.timeout(delay)
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(tag)
+            yield from use(res, 1, granted, tag, priority)
 
-        env.process(holder(env, res))
-        env.process(queued(env, res, "low-pri", 5, 1))
-        env.process(queued(env, res, "high-pri", 0, 2))
+        env.process(use(res, 10))
+        env.process(queued(env, "low-pri", 5, 1))
+        env.process(queued(env, "high-pri", 0, 2))
         env.run()
-        assert order == ["high-pri", "low-pri"]
+        assert granted == [("high-pri", 10), ("low-pri", 11)]
 
 
 class TestContainer:
