@@ -40,7 +40,7 @@ from .core.config import (
 )
 from .core.sla import LatencySla, SlaMonitor
 from .core.slacker import Slacker
-from .migration.live import LiveMigration, MigrationPhase
+from .migration.fluid import FluidMigration, MigrationPhase
 from .migration.result import MigrationResult
 from .migration.throttle import Throttle
 
@@ -50,8 +50,8 @@ __all__ = [
     "CASE_STUDY",
     "EVALUATION",
     "ExperimentConfig",
+    "FluidMigration",
     "LatencySla",
-    "LiveMigration",
     "MigrationPhase",
     "MigrationResult",
     "Slacker",

@@ -1,12 +1,12 @@
 """The MySQL/InnoDB-like tenant database substrate.
 
 Pages and tables, an LRU buffer pool, a binary log, a transaction
-executor bound to simulated server hardware, and a hot-backup tool
-(the XtraBackup equivalent) — everything Slacker's migration pipeline
-operates on.
+executor bound to simulated server hardware, and the hot-backup
+snapshot record (the XtraBackup equivalent) — everything Slacker's
+migration pipeline operates on.
 """
 
-from .backup import DEFAULT_CHUNK_BYTES, HotBackup, Snapshot, SnapshotChunk
+from .backup import DEFAULT_CHUNK_BYTES, Snapshot
 from .buffer_pool import AccessResult, BufferPool, BufferPoolStats
 from .engine import DatabaseEngine, EngineState, EngineStats, FreezeMode
 from .log import BinaryLog, LogRecord
@@ -30,7 +30,6 @@ __all__ = [
     "EngineState",
     "EngineStats",
     "FreezeMode",
-    "HotBackup",
     "LogRecord",
     "Operation",
     "OperationCosts",
@@ -39,7 +38,6 @@ __all__ = [
     "SharedTenant",
     "SharedTenantSession",
     "Snapshot",
-    "SnapshotChunk",
     "TableLevelBackup",
     "TableLayout",
     "Transaction",

@@ -1,4 +1,4 @@
-"""Hot backup: the XtraBackup-equivalent streaming snapshot.
+"""Hot-backup bookkeeping: the XtraBackup-equivalent snapshot record.
 
 Slacker "leverages [the] hot backup function to obtain a consistent
 snapshot for use in starting a new MySQL instance" (Section 2.3.2).
@@ -6,54 +6,40 @@ The tool's contract, as the paper notes, is minimal: produce a
 consistent-in-time snapshot *without interrupting transaction
 processing*, streamable on the fly.
 
-:class:`HotBackup` models Percona XtraBackup:
-
-* :meth:`stream` scans the tenant's data files sequentially, yielding
-  fixed-size chunks.  Each chunk read queues on the source server's
-  disk — this is the I/O the throttle meters and tenants feel.
-* While the scan runs, committed writes keep landing in the binary
-  log; the snapshot records the LSN range it must replay.
-* :meth:`prepare` performs crash recovery against the copied data on
-  the target (replaying the redo captured during the scan), after
-  which the target daemon can start.
+The scan itself is the copy step of
+:class:`~repro.migration.fluid.FluidMigration` (and, for one tenant of
+a shared daemon, :class:`~repro.db.shared.TableLevelBackup`): it reads
+the data sequentially in fixed-size pieces, each queueing on the
+source server's disk — the I/O the throttle meters and tenants feel.
+While the scan runs, committed writes keep landing in the log; a
+:class:`Snapshot` records the log range the prepare step must replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Optional
 
 from ..resources.units import KB
-from ..simulation import Environment
-from .engine import DatabaseEngine
 
-__all__ = ["SnapshotChunk", "Snapshot", "HotBackup", "DEFAULT_CHUNK_BYTES"]
+__all__ = ["Snapshot", "DEFAULT_CHUNK_BYTES"]
 
 #: Default streaming chunk size (XtraBackup reads in extents of this order).
 DEFAULT_CHUNK_BYTES = 256 * KB
-
-
-@dataclass(frozen=True)
-class SnapshotChunk:
-    """One chunk of the streamed snapshot."""
-
-    #: Byte offset of the chunk within the snapshot.
-    offset: int
-    #: Chunk payload size in bytes.
-    size: int
 
 
 @dataclass
 class Snapshot:
     """Bookkeeping for one in-progress or completed hot backup."""
 
-    #: Source binlog LSN when the scan started.
+    #: Log mark when the scan started: the source binlog LSN (for one
+    #: chunk of a chunked migration, the bytes logged to the chunk).
     start_lsn: int
-    #: Total bytes the snapshot will contain (the data directory size).
+    #: Total bytes the snapshot will contain (the range scanned).
     total_bytes: int
     #: Bytes streamed so far.
     streamed_bytes: int = 0
-    #: Source binlog LSN when the scan finished (set at completion).
+    #: Log mark when the scan finished (set at completion).
     end_lsn: Optional[int] = None
     #: Simulated times of scan start/end.
     started_at: float = 0.0
@@ -77,62 +63,3 @@ class Snapshot:
         if self.end_lsn is None:
             raise ValueError("snapshot scan has not finished")
         return self.end_lsn - self.start_lsn
-
-
-class HotBackup:
-    """Streaming hot-backup tool bound to one source engine."""
-
-    def __init__(
-        self,
-        env: Environment,
-        source: DatabaseEngine,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ):
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-        self.env = env
-        self.source = source
-        self.chunk_bytes = chunk_bytes
-
-    def begin(self) -> Snapshot:
-        """Start a snapshot: record the consistent-read LSN."""
-        return Snapshot(
-            start_lsn=self.source.binlog.head_lsn,
-            total_bytes=self.source.data_bytes,
-            started_at=self.env.now,
-        )
-
-    def read_chunk(self, snapshot: Snapshot) -> Generator:
-        """Process: read the next chunk from the source disk.
-
-        Returns the :class:`SnapshotChunk`, or ``None`` when the scan
-        is complete (in which case ``snapshot.end_lsn`` is recorded).
-        The read is sequential within the snapshot's disk stream, so an
-        undisturbed scan runs at media rate while an interleaved one
-        re-seeks per chunk.
-        """
-        if snapshot.complete:
-            return None
-        remaining = snapshot.total_bytes - snapshot.streamed_bytes
-        size = min(self.chunk_bytes, remaining)
-        chunk = SnapshotChunk(offset=snapshot.streamed_bytes, size=size)
-        yield from self.source.server.disk.read(
-            size, sequential=True, stream=f"{self.source.name}:backup"
-        )
-        snapshot.streamed_bytes += size
-        snapshot.chunks += 1
-        if snapshot.streamed_bytes >= snapshot.total_bytes:
-            snapshot.end_lsn = self.source.binlog.head_lsn
-            snapshot.finished_at = self.env.now
-        return chunk
-
-    def prepare(self, snapshot: Snapshot, target: DatabaseEngine) -> Generator:
-        """Process: crash-recover the copied data on the target server.
-
-        XtraBackup's ``--prepare`` replays the redo log captured during
-        the scan; cost scales with the redo volume.  On completion the
-        target is a consistent replica as of ``snapshot.end_lsn``.
-        """
-        if not snapshot.complete:
-            raise RuntimeError("cannot prepare an incomplete snapshot")
-        yield from target.apply_delta_bytes(snapshot.redo_bytes, snapshot.end_lsn)

@@ -216,7 +216,8 @@ class SharedProcessEngine:
 class TableLevelBackup:
     """Table-level hot backup: stream one tenant's tablespace.
 
-    The shared-process analogue of :class:`~repro.db.backup.HotBackup`:
+    The shared-process analogue of the live copy step
+    (:class:`~repro.migration.fluid.FluidMigration`):
     the scan covers only the chosen tenant's pages, and the redo to
     replay is only that tenant's (tagged) binlog records.
     """

@@ -32,7 +32,7 @@ from ..control.pid import PAPER_GAINS, PidGains, PositionalPidController
 from ..control.window import LatencyWindow
 from ..core.config import EVALUATION, ExperimentConfig
 from ..migration.controller import ControllerConfig, DynamicThrottleController
-from ..migration.live import LiveMigration
+from ..migration.fluid import FluidMigration
 from ..migration.throttle import Throttle
 from ..parallel import ResultCache, SweepPoint, SweepRunner
 from ..resources.units import MB, mb_per_sec, to_millis
@@ -101,7 +101,7 @@ def _controlled_migration(
         yield env.timeout(warmup)
         start = env.now
         throttle = Throttle(env, rate=0.0)
-        migration = LiveMigration(
+        migration = FluidMigration(
             env,
             tenant.engine,
             cluster.node("target").server,

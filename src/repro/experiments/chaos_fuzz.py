@@ -258,8 +258,9 @@ def fuzz_point(
     on every node — the deliberate bug the fuzzer must catch and
     shrink; it is only ever set by tests and the ``--break-fencing``
     demonstration flag.  ``fluid_chunks > 0`` migrates through the
-    fluid chunked path instead of live, adding the exactly-once
-    chunk-ownership battery to the checked invariants.
+    fluid chunked path instead of live; either way the chunk battery
+    (:func:`~repro.migration.fluid.check_fluid_invariants`) is part of
+    the checked invariants.
     ``observe=True`` fills ``record.report``; the fingerprint does not
     change, since observation is read-only.
     """
@@ -324,12 +325,13 @@ def fuzz_point(
         outcome = "wedged"
     client.stop()
 
-    fluid_migration = source.last_fluid_migration if fluid_chunks else None
+    # Live (one chunk) or fluid: the same engine, the same battery.
+    migration = source.last_fluid_migration
     violations = check_invariants(
         outcome, cluster, tenant, source_engine, client, trace,
-        # A wedged run is mid-flight by definition; the fluid battery's
+        # A wedged run is mid-flight by definition; the chunk battery's
         # terminal-state checks only apply once the migration resolved.
-        fluid_migration=fluid_migration if outcome != "wedged" else None,
+        fluid_migration=migration if outcome != "wedged" else None,
     )
     # The fuzzer's extra surface: the budget ledger must be whole again.
     leaked = ledger.reservations()
@@ -357,16 +359,16 @@ def fuzz_point(
         source.stats.duplicates_ignored + target.stats.duplicates_ignored
     )
     counters["budget_events"] = len(ledger.history)
-    if fluid_migration is not None:
-        # Only present when fluid is on, so legacy fingerprints are
+    if fluid_chunks and migration is not None:
+        # Only present when fluid is on, so live fingerprints are
         # untouched.
-        counters["fluid_chunk_flips"] = fluid_migration.chunk_map.flips
+        counters["fluid_chunk_flips"] = migration.chunk_map.flips
         counters["fluid_stale_flips_rejected"] = (
-            fluid_migration.chunk_map.stale_flips_rejected
+            migration.chunk_map.stale_flips_rejected
         )
-        counters["fluid_writes_to_target"] = fluid_migration.router.writes_to_target
-        counters["fluid_cross_hops"] = fluid_migration.router.cross_hops
-        counters["fluid_foreign_serves"] = fluid_migration.router.foreign_serves
+        counters["fluid_writes_to_target"] = migration.router.writes_to_target
+        counters["fluid_cross_hops"] = migration.router.cross_hops
+        counters["fluid_foreign_serves"] = migration.router.foreign_serves
     counter_pairs = tuple(sorted(counters.items()))
 
     run = Run(
@@ -634,8 +636,7 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
         type=int,
         default=0,
         help="migrate through the fluid chunked path with this many "
-        "chunks (0 = live migration), adding the exactly-once "
-        "chunk-ownership battery to the checked invariants",
+        "chunks (0 = live migration, the one-chunk case)",
     )
     parser.add_argument(
         "--plan",

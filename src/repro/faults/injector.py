@@ -14,7 +14,7 @@ The injector hooks the existing layers rather than replacing them:
 * NIC/disk rate collapses rebind the resource's parameter block to a
   scaled-bandwidth copy for the duration;
 * ``abort_backup`` cancels whatever migration the named node is
-  running mid-stream via :meth:`LiveMigration.try_abort`.
+  running mid-stream via :meth:`FluidMigration.try_abort`.
 
 All randomness comes from one named ``RandomStreams`` child stream, so
 a chaos run is a pure function of (config seed, plan) and replays

@@ -102,8 +102,8 @@ def check_invariants(
             )
 
     if fluid_migration is not None:
-        # Chunked handover adds its own surface: every chunk owned
-        # exactly once, no page ever served by a non-owner, write
-        # accounting conserved across the dual-resident window.
+        # The live/fluid engine adds its own surface: every chunk owned
+        # exactly once, no page ever served by a non-owner, nothing
+        # left frozen, write accounting conserved across residents.
         violations.extend(check_fluid_invariants(fluid_migration))
     return violations

@@ -49,9 +49,8 @@ from ..db.engine import DatabaseEngine
 from ..db.pages import TableLayout
 from ..migration.controller import ControllerConfig, DynamicThrottleController
 from ..migration.fluid import DEFAULT_NUM_CHUNKS, FluidMigration
-from ..migration.live import LiveMigration, MigrationAborted
 from ..migration.on_demand import OnDemandMigration
-from ..migration.result import MigrationResult
+from ..migration.result import MigrationAborted, MigrationResult
 from ..migration.stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from ..migration.throttle import Throttle
 from ..resources.server import Server
@@ -219,8 +218,8 @@ class SlackerNode:
         #: tenant_id -> in-flight *outgoing* migration engine (any
         #: method: all share the try_abort/target_server surface).
         self.active_migrations: dict[int, object] = {}
-        #: Most recent outgoing FluidMigration (kept past completion so
-        #: chaos harnesses can audit its chunk-ownership invariants).
+        #: Most recent outgoing live or fluid migration (kept past
+        #: completion so chaos harnesses can audit its invariants).
         self.last_fluid_migration: Optional[FluidMigration] = None
         #: tenant_id -> (version, node, port) from TenantLocationUpdate
         #: frames (the node's subscriber-side routing cache).
@@ -355,8 +354,8 @@ class SlackerNode:
 
         ``method`` picks the data plane (:data:`MIGRATION_METHODS`):
         ``"live"`` (snapshot, delta rounds, one freeze), ``"fluid"``
-        (per-chunk handovers with dual-resident routing, ``chunks``
-        chunks), ``"on-demand"`` (switch at once, pull pages on
+        (the same pipeline per chunk, with dual-resident routing,
+        ``chunks`` chunks), ``"on-demand"`` (switch at once, pull pages on
         demand), ``"stop-and-copy"`` or ``"dump-reimport"``.  Whichever
         runs, this node owns the lease, the accept round trip, the
         throttle and PID loop, the frontend update, aborts and the
@@ -459,31 +458,36 @@ class SlackerNode:
             fence=fence,
             obs=self.obs,
         )
-        if method == "fluid":
+        chunked = False
+        if method in ("live", "fluid"):
+            # Live migration is the one-chunk case of the same pipeline.
             migration = FluidMigration(
                 self.env,
                 source_engine,
                 peer.server,
                 throttle,
-                num_chunks=chunks,
+                num_chunks=chunks or 1,
                 chunk_bytes=self.config.chunk_bytes,
                 token=token,
                 **hooks,
             )
-            migration.on_chunk_flip = self._chunk_flip_notifier(
-                migration, tenant_id, target, token
-            )
             self.last_fluid_migration = migration
-            # Dual-resident window opens: requests route per chunk.
-            tenant.engine = migration.router
-            self.frontend.begin_chunked(tenant_id, migration.num_chunks, self.name)
+            chunked = migration.chunked
+            if chunked:
+                migration.on_chunk_flip = self._chunk_flip_notifier(
+                    migration, tenant_id, target, token
+                )
+                # Dual-resident window opens: requests route per chunk.
+                tenant.engine = migration.router
+                self.frontend.begin_chunked(
+                    tenant_id, migration.num_chunks, self.name
+                )
         elif method == "on-demand":
             migration = OnDemandMigration(
                 self.env, source_engine, peer.server, throttle, **hooks
             )
         else:
             engine_cls = {
-                "live": LiveMigration,
                 "stop-and-copy": StopAndCopyMigration,
                 "dump-reimport": DumpReimportMigration,
             }[method]
@@ -548,14 +552,14 @@ class SlackerNode:
 
         try:
             result = yield migration_proc
-            if method == "fluid":
+            if chunked:
                 # Single-homed again: the handover installed the target
                 # engine; the per-chunk directory window closes.
                 self.frontend.end_chunked(tenant_id)
         except MigrationAborted:
             # The migration rolled the engines back; restore the
             # control-plane view: the tenant is plain ACTIVE here.
-            if method == "fluid":
+            if chunked:
                 if tenant.engine is migration.router:
                     tenant.engine = source_engine
                 self.frontend.end_chunked(tenant_id)

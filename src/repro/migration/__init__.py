@@ -1,19 +1,21 @@
-"""Migration engine: throttle, slack model, stop-and-copy, live migration,
-and the PID-driven dynamic throttle controller."""
+"""Migration engines, throttle, slack model and the PID throttle loop.
+
+Live and fluid migration are one chunked pipeline
+(:class:`FluidMigration`); stop-and-copy, dump-reimport and on-demand
+are the baselines."""
 
 from .controller import ControllerConfig, DynamicThrottleController, LatencyController
 from .fluid import (
     ChunkMap,
     ChunkState,
     FluidMigration,
-    FluidPhase,
     FluidRouter,
+    MigrationPhase,
     check_fluid_invariants,
 )
 from .lease import Lease, LeaseManager, LeaseService
-from .live import LiveMigration, MigrationAborted, MigrationPhase
 from .on_demand import OnDemandMigration, PartialReplicaEngine
-from .result import MigrationResult
+from .result import MigrationAborted, MigrationResult
 from .shared_live import SharedTenantMigration
 from .slack import AdditiveSlackModel, EmpiricalSlackEstimator, RateLatencySample
 from .stop_and_copy import DumpReimportMigration, StopAndCopyMigration
@@ -28,14 +30,12 @@ __all__ = [
     "DynamicThrottleController",
     "EmpiricalSlackEstimator",
     "FluidMigration",
-    "FluidPhase",
     "FluidRouter",
     "LatencyController",
     "check_fluid_invariants",
     "Lease",
     "LeaseManager",
     "LeaseService",
-    "LiveMigration",
     "MigrationAborted",
     "MigrationPhase",
     "MigrationResult",

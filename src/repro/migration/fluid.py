@@ -1,39 +1,52 @@
-"""Fluid migration: chunked state handover with dual-resident routing.
+"""Chunked live migration: one copy → freeze → handover pipeline.
 
-Slacker (and :mod:`repro.migration.live`) moves a tenant as one
-snapshot + delta rounds + a single freeze.  Megaphone [Hoffmann et
-al., arXiv:1812.01371] shows that splitting the state into fine-
-grained chunks, each with its own mini-handover, cuts the latency
-impact by orders of magnitude: no transaction ever waits behind the
-*whole* tenant's final delta — only behind one chunk's.
+The paper's live migration (Section 2.3.2) streams a consistent hot
+snapshot, prepares it on the target, ships rounds of binlog deltas
+and hands over under one brief write freeze.  Megaphone [Hoffmann et
+al., arXiv:1812.01371] treats that all-at-once handover as the
+one-chunk case of *fluid* migration: split the tenant's page space
+into ``num_chunks`` contiguous chunks and give each its own
+mini-handover, so no transaction ever waits behind the *whole*
+tenant's final delta — only behind one chunk's.
 
-The tenant's page space is partitioned into ``num_chunks`` contiguous
-chunks.  Per chunk the pipeline is:
+:class:`FluidMigration` is that one engine.  Per chunk, in page order:
 
-1. **Copy** — stream the chunk's pages to the target through the
-   migration throttle (the source keeps serving everything).
-2. **Freeze** — block *new writers to that chunk only*, wait for
-   in-flight writers on the chunk to drain, ship the chunk's write
-   delta unthrottled (a window ~1/N the length of live migration's,
-   hit by ~1/N of the traffic).
-3. **Flip** — check the fencing token, flip the chunk's ownership in
-   the :class:`ChunkMap`, announce it (``ChunkHandover`` to the
-   target, ``ChunkOwnership`` broadcast via the frontend), thaw.
+1. **Snapshot** — pipelined copy of the chunk's pages: the throttle
+   admits a piece, a pipeline slot bounds the pieces in flight, a
+   spawned process reads it on the source and wires it over, and a
+   consumer writes it on the target (a streamed ``xtrabackup | pv |
+   nc``).  The source keeps serving everything.
+2. **Prepare** — apply the writes made to the chunk during its copy
+   (crash recovery of the copied data); the first chunk's prepare
+   creates the target engine.
+3. **Delta rounds** — ship and apply what the chunk fell behind by,
+   until the pending delta is small.
+4. **Fence** — consult the ownership-lease gate.
+5. **Freeze** — block writers to the chunk and drain the ones in
+   flight.
+6. **Final delta** — ship and apply the rest, unthrottled.
+7. **Flip** — commit the chunk's owner in the :class:`ChunkMap` under
+   the fencing token.
 
-While any chunk has flipped and any chunk has not, the tenant is
-*dual-resident*: the :class:`FluidRouter` (installed as the tenant's
-engine for the duration) routes every page access to whichever engine
-owns that page's chunk, paying a network hop for transactions that
-span both residents.
+``num_chunks=1`` is the paper's live migration, and two things follow
+from the chunk count alone.  With one chunk the freeze is the source
+engine's whole-tenant write freeze and the pending delta is read from
+the source binlog's LSN; the :class:`FluidRouter` is built but the
+tenant keeps its engine, so no transaction makes a hop.  With more,
+the router is installed as the tenant's engine for the duration: it
+routes every page access to whichever engine owns the page's chunk
+(the tenant is *dual-resident*), freezes one chunk at a time, and
+counts each chunk's writes, which size its deltas.
 
-Failure semantics ride the live-migration machinery: until the last
-chunk has flipped (``FINALIZING``) the migration can be aborted at any
-instant — frozen chunks are thawed, flipped chunks are flipped back to
-the source (their writes shipped home, so nothing is lost), the
-half-built target is discarded, and the router's ownership map ends
-all-source.  Every chunk is exactly-once owned at every instant by
-construction: ownership is a single map on the source side, and the
-wire frames merely announce its transitions.
+Failure semantics (Zephyr-style): until the last chunk freezes
+(``HANDOVER``) the migration can be aborted at any instant — the run
+process and its pipeline children are interrupted, frozen chunks thaw,
+flipped chunks flip back to the source with their writes shipped home,
+the half-built target is discarded, and the tenant keeps serving at
+the source.  From ``HANDOVER`` on aborts are refused: the target is
+becoming authoritative.  The phase attribute is a real state machine
+(:data:`_TRANSITIONS`); every run terminates in ``COMPLETE`` or
+``ABORTED``.
 """
 
 from __future__ import annotations
@@ -41,18 +54,17 @@ from __future__ import annotations
 import enum
 from typing import Callable, Generator, Optional
 
-from ..db.backup import DEFAULT_CHUNK_BYTES
-from ..db.engine import DatabaseEngine, EngineState
+from ..db.backup import DEFAULT_CHUNK_BYTES, Snapshot
+from ..db.engine import DatabaseEngine, EngineState, FreezeMode
 from ..db.transactions import Transaction
 from ..resources.server import Server
-from ..resources.units import PAGE_SIZE
-from ..simulation import Environment, Event, Interrupt, Process
-from .live import MigrationAborted
-from .result import MigrationResult
+from ..resources.units import KB, PAGE_SIZE
+from ..simulation import Container, Environment, Event, Interrupt, Process, Store
+from .result import MigrationAborted, MigrationResult
 from .throttle import Throttle
 
 __all__ = [
-    "FluidPhase",
+    "MigrationPhase",
     "ChunkState",
     "ChunkMap",
     "FluidRouter",
@@ -60,39 +72,59 @@ __all__ = [
     "check_fluid_invariants",
 ]
 
-#: Default number of chunks the page space is split into.
+#: Number of chunks ``method="fluid"`` splits the page space into.
 DEFAULT_NUM_CHUNKS = 16
+#: A chunk's delta rounds stop once its pending delta is this small.
+DELTA_THRESHOLD = 64 * KB
+#: At most this many delta rounds per chunk before its freeze.
+MAX_DELTA_ROUNDS = 8
+#: Snapshot pieces in flight at once (xtrabackup/OS readahead).
+PIPELINE_DEPTH = 32
 
 
-class FluidPhase(enum.Enum):
-    """Where a fluid migration currently is."""
+class MigrationPhase(enum.Enum):
+    """Where a migration is in its current chunk's pipeline."""
 
     PENDING = "pending"
-    MIGRATING = "migrating"
-    FINALIZING = "finalizing"
+    SNAPSHOT = "snapshot"
+    PREPARE = "prepare"
+    DELTA = "delta"
+    HANDOVER = "handover"
     COMPLETE = "complete"
     ABORTED = "aborted"
 
 
-#: Legal phase transitions.  ``FINALIZING`` (last chunk flipped, source
-#: retiring) has no edge to ``ABORTED``: the target is authoritative
-#: for every chunk and cancelling would lose writes.
-_TRANSITIONS: dict[FluidPhase, frozenset[FluidPhase]] = {
-    FluidPhase.PENDING: frozenset({FluidPhase.MIGRATING, FluidPhase.ABORTED}),
-    FluidPhase.MIGRATING: frozenset({FluidPhase.FINALIZING, FluidPhase.ABORTED}),
-    FluidPhase.FINALIZING: frozenset({FluidPhase.COMPLETE}),
-    FluidPhase.COMPLETE: frozenset(),
-    FluidPhase.ABORTED: frozenset(),
+#: Legal phase transitions.  ``DELTA -> SNAPSHOT`` starts the next
+#: chunk once one has flipped.  ``HANDOVER`` (the last chunk's freeze)
+#: refuses :meth:`FluidMigration.try_abort`; its one edge to
+#: ``ABORTED`` is the flip itself failing its fencing check, which
+#: rolls back before anything was handed over.
+_TRANSITIONS: dict[MigrationPhase, frozenset[MigrationPhase]] = {
+    MigrationPhase.PENDING: frozenset(
+        {MigrationPhase.SNAPSHOT, MigrationPhase.ABORTED}
+    ),
+    MigrationPhase.SNAPSHOT: frozenset(
+        {MigrationPhase.PREPARE, MigrationPhase.ABORTED}
+    ),
+    MigrationPhase.PREPARE: frozenset({MigrationPhase.DELTA, MigrationPhase.ABORTED}),
+    MigrationPhase.DELTA: frozenset(
+        {MigrationPhase.SNAPSHOT, MigrationPhase.HANDOVER, MigrationPhase.ABORTED}
+    ),
+    MigrationPhase.HANDOVER: frozenset(
+        {MigrationPhase.COMPLETE, MigrationPhase.ABORTED}
+    ),
+    MigrationPhase.COMPLETE: frozenset(),
+    MigrationPhase.ABORTED: frozenset(),
 }
 
 #: Phases from which an abort is refused.
 _NO_ABORT_PHASES = frozenset(
-    {FluidPhase.FINALIZING, FluidPhase.COMPLETE, FluidPhase.ABORTED}
+    {MigrationPhase.HANDOVER, MigrationPhase.COMPLETE, MigrationPhase.ABORTED}
 )
 
 
 class ChunkState(enum.Enum):
-    """Per-chunk lifecycle within one fluid migration."""
+    """Per-chunk lifecycle within one migration."""
 
     PENDING = "pending"
     COPYING = "copying"
@@ -103,7 +135,7 @@ class ChunkState(enum.Enum):
 
 #: Legal per-chunk transitions.  ``ROLLED_BACK`` is the abort-path
 #: terminal (the chunk is source-owned again); ``MIGRATED`` chunks can
-#: still be rolled back until the migration finalizes.
+#: still be rolled back until the last chunk freezes.
 _CHUNK_TRANSITIONS: dict[ChunkState, frozenset[ChunkState]] = {
     ChunkState.PENDING: frozenset({ChunkState.COPYING}),
     ChunkState.COPYING: frozenset({ChunkState.FROZEN, ChunkState.ROLLED_BACK}),
@@ -188,7 +220,7 @@ class ChunkMap:
 
 
 class FluidRouter:
-    """Dual-resident request router, installed as the tenant's engine.
+    """Dual-resident request router, the tenant's engine while chunks move.
 
     Implements the same ``execute(txn)`` generator contract as
     :class:`~repro.db.engine.DatabaseEngine` (the benchmark client
@@ -367,7 +399,7 @@ class FluidRouter:
 
 
 class FluidMigration:
-    """One fluid (chunked-handover) migration of a tenant engine."""
+    """One migration of a tenant engine, chunk by chunk (live: one chunk)."""
 
     def __init__(
         self,
@@ -375,7 +407,7 @@ class FluidMigration:
         source: DatabaseEngine,
         target_server: Server,
         throttle: Throttle,
-        num_chunks: int = DEFAULT_NUM_CHUNKS,
+        num_chunks: int = 1,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
         on_chunk_flip=None,
@@ -385,6 +417,8 @@ class FluidMigration:
     ):
         if num_chunks < 1:
             raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
+        if chunk_bytes <= 0:
+            raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
         self.env = env
         self.source = source
         self.target_server = target_server
@@ -395,37 +429,49 @@ class FluidMigration:
         #: run on the migration path after each flip — the node uses it
         #: to send the ``ChunkHandover`` frame and update the frontend.
         self.on_chunk_flip = on_chunk_flip
-        #: Fencing gate, consulted immediately before *every* chunk
-        #: flip (each flip is a mini point-of-no-return for its chunk).
+        #: Optional fencing gate, consulted before every chunk's freeze.
+        #: Returning ``False`` aborts with a full rollback: a node whose
+        #: ownership lease has lapsed must never hand a chunk over.
         self.fence = fence
         #: Fencing token every ownership flip commits under.
         self.token = token
+        #: Optional :class:`~repro.obs.Observability`; ``None`` keeps
+        #: phase transitions free of span/metric work.
         self.obs = obs
         self.chunk_map = ChunkMap(
             source.layout.num_pages, min(num_chunks, source.layout.num_pages)
         )
         self.num_chunks = self.chunk_map.num_chunks
+        #: More than one chunk: the router serves the tenant while the
+        #: migration runs, and each chunk freezes on its own.
+        self.chunked = self.num_chunks > 1
         self.router = FluidRouter(env, source, self.chunk_map)
-        self.phase = FluidPhase.PENDING
-        self.phase_history: list[tuple[float, FluidPhase]] = []
+        self.phase = MigrationPhase.PENDING
+        #: (time, phase) log of every transition, for post-mortems.
+        self.phase_history: list[tuple[float, MigrationPhase]] = []
         self.chunk_states = [ChunkState.PENDING] * self.num_chunks
         self.target: Optional[DatabaseEngine] = None
+        #: True once an abort has rolled state back (every chunk
+        #: source-owned and thawed, target discarded).
         self.rolled_back = False
         #: Writes the abort path shipped back from the target (none are
         #: lost: they land in the source's data version again).
         self.reclaimed_writes = 0
+        #: Per chunk, the log mark (see :meth:`_log_mark`) the target
+        #: has applied up to.
+        self._applied = [0] * self.num_chunks
         self._abort_reason: Optional[str] = None
         self._process: Optional[Process] = None
-        self._handover_done = False
+        self._children: list[Process] = []
 
     @property
     def abort_reason(self) -> Optional[str]:
         return self._abort_reason
 
-    def _transition(self, phase: FluidPhase) -> None:
+    def _transition(self, phase: MigrationPhase) -> None:
         if phase not in _TRANSITIONS[self.phase]:
             raise RuntimeError(
-                f"illegal fluid migration transition {self.phase.value} -> {phase.value}"
+                f"illegal migration transition {self.phase.value} -> {phase.value}"
             )
         self.phase = phase
         self.phase_history.append((self.env.now, phase))
@@ -441,15 +487,17 @@ class FluidMigration:
             )
         self.chunk_states[chunk_index] = state
 
-    # -- abort machinery (mirrors LiveMigration) ---------------------------
+    # -- abort machinery ---------------------------------------------------
 
     def try_abort(self, reason: str = "cancelled") -> bool:
         """Request an abort; returns whether it was accepted.
 
-        Accepted any time before the last chunk has flipped
-        (``FINALIZING``): in-flight chunk work is interrupted, frozen
-        chunks thaw, already-flipped chunks flip back to the source
-        with their writes shipped home.
+        Accepted any time before the last chunk freezes: the run process
+        is interrupted at its current instant (even while blocked on a
+        fully-closed throttle), rolls the tenant back to a consistent
+        source-resident state, and raises :class:`MigrationAborted`.
+        Refused (returns ``False``) during ``HANDOVER`` and after
+        ``COMPLETE``/``ABORTED``.
         """
         if self.phase in _NO_ABORT_PHASES:
             return False
@@ -461,24 +509,37 @@ class FluidMigration:
         return True
 
     def abort(self, reason: str = "operator cancelled") -> None:
-        """Cancel before finalization; raises once finalizing/complete."""
-        if self.phase is FluidPhase.ABORTED:
+        """Cancel before the last chunk freezes; raises from then on.
+
+        Aborting an already-aborted migration is a no-op.
+        """
+        if self.phase is MigrationPhase.ABORTED:
             return
         if not self.try_abort(reason):
             raise RuntimeError(
-                f"cannot abort a fluid migration in phase {self.phase.value}"
+                f"cannot abort a migration in phase {self.phase.value}"
             )
 
     def _check_abort(self) -> None:
-        if self._abort_reason is not None and self.phase is not FluidPhase.ABORTED:
+        if self._abort_reason is not None and self.phase is not MigrationPhase.ABORTED:
             self._rollback()
             raise MigrationAborted(self._abort_reason)
 
+    def _fail(self, reason: str) -> None:
+        """Roll back and raise: a fencing check refused the handover."""
+        self._abort_reason = self._abort_reason or reason
+        self._rollback()
+        raise MigrationAborted(self._abort_reason)
+
     def _rollback(self) -> None:
         """Restore an all-source-owned, unfrozen state (synchronous)."""
-        for chunk in list(self.router.frozen_chunks):
-            self.router.thaw_chunk(chunk)
+        active = self.env.active_process
+        for child in self._children:
+            if child.is_alive and child is not active:
+                child.interrupt("migration aborted")
+        self._children.clear()
         for chunk in range(self.num_chunks):
+            self._thaw(chunk)
             if self.chunk_map.owner(chunk) != "source":
                 # Flip-backs carry the same token the flips committed
                 # under; the floor admits equal tokens, so the abort of
@@ -487,17 +548,63 @@ class FluidMigration:
             if self.chunk_states[chunk] is not ChunkState.PENDING:
                 self._chunk_transition(chunk, ChunkState.ROLLED_BACK)
         # Ship the target-resident writes home (instantaneous in the
-        # rollback, like live migration's discard): nothing is lost.
+        # rollback, like the discard of the target): nothing is lost.
         reclaim = self.router.writes_to_target - self.reclaimed_writes
         if reclaim > 0:
             self.reclaimed_writes += reclaim
             self.source.data_version += reclaim
         if self.target is not None and self.target.state is not EngineState.STOPPED:
-            self.target.stop()
-        self._transition(FluidPhase.ABORTED)
+            self.target.stop()  # discard the half-built replica
+        self._transition(MigrationPhase.ABORTED)
         self.rolled_back = True
 
+    # -- the chunk's log, freeze and thaw ----------------------------------
+
+    def _log_mark(self, chunk: int) -> int:
+        """How far the chunk's write log reaches, in bytes.
+
+        The source binlog's LSN with one chunk; with more, the bytes
+        logged by the writes the router has committed to the chunk.
+        """
+        if self.chunked:
+            return self.router.chunk_writes[chunk] * self.source.costs.log_bytes_per_write
+        return self.source.binlog.head_lsn
+
+    def _pending(self, chunk: int) -> int:
+        """Log bytes the target is behind by on one chunk."""
+        return self._log_mark(chunk) - self._applied[chunk]
+
+    def _freeze(self, chunk: int) -> Event:
+        """Block new writers to the chunk; the event fires once the
+        writers already in flight have drained."""
+        if self.chunked:
+            self.router.freeze_chunk(chunk)
+            return self.router.chunk_write_quiesced(chunk)
+        self.source.freeze(FreezeMode.WRITES)
+        return self.source.write_quiesced()
+
+    def _thaw(self, chunk: int) -> None:
+        """Unblock the chunk's writers if it is frozen."""
+        if self.chunked:
+            if self.router.chunk_frozen(chunk):
+                self.router.thaw_chunk(chunk)
+        elif self.source.is_frozen:
+            self.source.thaw()
+
     # -- pipeline pieces ---------------------------------------------------
+
+    def _spawn(self, gen: Generator) -> Process:
+        """Start a pipeline child that an abort can interrupt cleanly."""
+        proc = self.env.process(self._interruptible(gen))
+        self._children.append(proc)
+        return proc
+
+    def _interruptible(self, gen: Generator):
+        """Run ``gen``; exit quietly when the migration is aborted."""
+        try:
+            return (yield from gen)
+        except Interrupt:
+            return None
 
     def _make_target(self) -> DatabaseEngine:
         return DatabaseEngine(
@@ -510,142 +617,227 @@ class FluidMigration:
             costs=self.source.costs,
         )
 
-    def _copy_chunk(self, chunk_index: int) -> Generator:
-        """Stream one chunk's pages through the throttle to the target."""
-        lo, hi = self.chunk_map.page_range(chunk_index)
-        nbytes = (hi - lo) * PAGE_SIZE
-        read_stream = self.source._stream("fluid")
-        write_stream = self.source._stream("fluid-restore")
+    def _copy_chunk(self, chunk: int) -> Generator:
+        """Stream one chunk's pages to the target; returns the snapshot.
+
+        Pipelined source read → wire → target write through a bounded
+        buffer of :data:`PIPELINE_DEPTH` pieces.  The snapshot records
+        the chunk's log marks at the start and end of the scan: the
+        writes between them are what the prepare step applies.
+        """
+        lo, hi = self.chunk_map.page_range(chunk)
+        snapshot = Snapshot(
+            start_lsn=self._log_mark(chunk),
+            total_bytes=(hi - lo) * self.source.layout.page_size,
+            started_at=self.env.now,
+        )
+        pieces = Store(self.env)
+        slots = Container(self.env, capacity=PIPELINE_DEPTH, init=PIPELINE_DEPTH)
+        stream = f"{self.source.name}:restore"
+        producer = self._spawn(self._snapshot_producer(chunk, snapshot, pieces, slots))
+        consumer = self._spawn(self._snapshot_consumer(pieces, slots, stream))
+        yield self.env.all_of([producer, consumer])
+        return snapshot
+
+    def _snapshot_producer(self, chunk: int, snapshot, pieces: Store, slots: Container):
+        """Pace piece shipments at the throttle rate.
+
+        Each piece's disk read is spawned asynchronously (bounded by
+        the pipeline depth), modelling xtrabackup/OS readahead keeping
+        the pipe full: a busy disk makes reads *queue*, it does not
+        make the throttle back off.  Sustained pressure beyond the
+        disk's capacity is exactly what overloads the server in the
+        paper's Figure 6.
+        """
+        in_flight: list = []
+        while not snapshot.complete and snapshot.streamed_bytes < snapshot.total_bytes:
+            if self._abort_reason is not None:
+                break
+            remaining = snapshot.total_bytes - snapshot.streamed_bytes
+            size = min(self.chunk_bytes, remaining)
+            yield from self.throttle.acquire(size)
+            yield slots.get(1)
+            snapshot.streamed_bytes += size
+            is_last = snapshot.streamed_bytes >= snapshot.total_bytes
+            in_flight.append(
+                self._spawn(self._ship_piece(chunk, snapshot, size, is_last, pieces))
+            )
+        for proc in in_flight:
+            if proc.is_alive:
+                yield proc
+        pieces.put(None)  # end-of-stream marker
+
+    def _ship_piece(self, chunk: int, snapshot, size: int, is_last: bool, pieces: Store):
+        """Read one piece on the source and wire it to the target."""
+        yield from self.source.server.disk.read(
+            size, sequential=True, stream=f"{self.source.name}:backup"
+        )
+        snapshot.chunks += 1
+        if is_last:
+            # The consistent-scan endpoint: the log past this mark is
+            # the delta the prepare/delta steps must replay.
+            snapshot.end_lsn = self._log_mark(chunk)
+            snapshot.finished_at = self.env.now
+        yield from self.source.server.nic_out.transfer(size)
+        pieces.put(size)
+
+    def _snapshot_consumer(self, pieces: Store, slots: Container, stream: str):
+        """Write received pieces to the target disk."""
+        while True:
+            size = yield pieces.get()
+            if size is None:
+                return
+            yield from self.target_server.disk.write(
+                size, sequential=True, stream=stream
+            )
+            slots.put(1)
+
+    def _apply(self, chunk: int, nbytes: int, mark: int) -> Generator:
+        """Replay ``nbytes`` of the chunk's log on the target, up to ``mark``.
+
+        The target's replicated LSN is the sum of the chunks' applied
+        marks: the source LSN with one chunk.
+        """
+        self._applied[chunk] = mark
+        yield from self.target.apply_delta_bytes(nbytes, sum(self._applied))
+
+    def _ship_delta(self, nbytes: int, throttled: bool) -> Generator:
+        """Read a binlog range on the source and wire it to the target."""
+        stream = f"{self.source.name}:binlog-ship"
         shipped = 0
         while shipped < nbytes:
             size = min(self.chunk_bytes, nbytes - shipped)
-            yield from self.throttle.acquire(size)
+            if throttled:
+                yield from self.throttle.acquire(size)
             yield from self.source.server.disk.read(
-                size, sequential=True, stream=read_stream
+                size, sequential=True, stream=stream
             )
             yield from self.source.server.nic_out.transfer(size)
-            yield from self.target_server.disk.write(
-                size, sequential=True, stream=write_stream
-            )
             shipped += size
-        return nbytes
 
-    def _ship_chunk_delta(self, nbytes: int) -> Generator:
-        """Ship + apply one chunk's write delta, unthrottled (frozen)."""
-        assert self.target is not None
-        yield from self.source.server.disk.read(
-            nbytes, sequential=True, stream=self.source._stream("binlog-ship")
-        )
-        yield from self.source.server.nic_out.transfer(nbytes)
-        yield from self.target.apply_delta_bytes(
-            nbytes, self.target.replicated_lsn + nbytes
-        )
+    def _delta_round(self, chunk: int, throttled: bool = True) -> Generator:
+        """Ship and apply everything the target is behind by on a chunk.
+
+        Returns the bytes shipped.
+        """
+        mark = self._log_mark(chunk)
+        pending = mark - self._applied[chunk]
+        if pending > 0:
+            yield from self._ship_delta(pending, throttled=throttled)
+            yield from self._apply(chunk, pending, mark)
+        return pending
 
     # -- the migration -----------------------------------------------------
 
     def run(self) -> Generator:
-        """Process: run the full chunked migration.
+        """Process: run the full migration; returns the result record.
 
-        Terminates either returning a :class:`MigrationResult`
-        with phase ``COMPLETE`` (every chunk target-owned), or raising
-        :class:`MigrationAborted` with phase ``ABORTED`` (every chunk
-        source-owned again).
+        Terminates in exactly one of two ways: returns a
+        :class:`MigrationResult` with phase ``COMPLETE`` (every chunk
+        target-owned), or raises :class:`MigrationAborted` with phase
+        ``ABORTED`` after rolling the tenant back to the source.
         """
         self._process = self.env.active_process
         started_at = self.env.now
-        copied_bytes = 0
-        delta_bytes_total = 0
-        freeze_durations: list[float] = []
+        copied = 0
+        rounds: list[int] = []  # bytes shipped per delta round, final ones included
+        freezes: list[float] = []
         try:
-            self._check_abort()
-            self._transition(FluidPhase.MIGRATING)
-            self.target = self._make_target()
-            self.router.engines["target"] = self.target
-
             for chunk in range(self.num_chunks):
                 self._check_abort()
+
+                # Snapshot: stream the chunk (pipelined, throttled).
                 self._chunk_transition(chunk, ChunkState.COPYING)
-                write_baseline = self.router.chunk_writes[chunk]
-                copied_bytes += yield from self._copy_chunk(chunk)
+                self._transition(MigrationPhase.SNAPSHOT)
+                snapshot = yield from self._copy_chunk(chunk)
+                copied += snapshot.total_bytes
                 self._check_abort()
 
-                # Mini-handover: freeze just this chunk, drain its
-                # writers, ship its delta, check the fence, flip.
-                self._chunk_transition(chunk, ChunkState.FROZEN)
-                freeze_started = self.env.now
-                self.router.freeze_chunk(chunk)
-                try:
-                    yield self.router.chunk_write_quiesced(chunk)
-                    delta_writes = (
-                        self.router.chunk_writes[chunk] - write_baseline
-                    )
-                    chunk_delta = (
-                        delta_writes * self.source.costs.log_bytes_per_write
-                    )
-                    if chunk_delta > 0:
-                        yield from self._ship_chunk_delta(chunk_delta)
-                        delta_bytes_total += chunk_delta
-                    if self.fence is not None and not self.fence():
-                        self._abort_reason = (
-                            self._abort_reason
-                            or "fencing check failed at chunk flip"
-                        )
-                        self._rollback()
-                        raise MigrationAborted(self._abort_reason)
-                    if not self.chunk_map.flip_chunk(
-                        chunk, "target", token=self.token
-                    ):
-                        self._abort_reason = (
-                            self._abort_reason or "stale fencing token at chunk flip"
-                        )
-                        self._rollback()
-                        raise MigrationAborted(self._abort_reason)
-                finally:
-                    # Never leave a chunk frozen, whatever went wrong
-                    # (the rollback thaws before this runs on aborts).
-                    if self.router.chunk_frozen(chunk):
-                        self.router.thaw_chunk(chunk)
-                self._chunk_transition(chunk, ChunkState.MIGRATED)
-                freeze_durations.append(self.env.now - freeze_started)
-                if self.obs is not None:
-                    self.obs.on_migration_freeze(self, freeze_durations[-1])
-                if self.on_chunk_flip is not None:
-                    yield from self.on_chunk_flip(
-                        chunk, chunk_delta if delta_writes else 0
-                    )
+                # Prepare: apply the writes made during the copy.
+                self._transition(MigrationPhase.PREPARE)
+                if self.target is None:
+                    self.target = self._make_target()
+                    self.router.engines["target"] = self.target
+                yield self._spawn(
+                    self._apply(chunk, snapshot.redo_bytes, snapshot.end_lsn)
+                )
                 self._check_abort()
+
+                # Delta rounds until the chunk's pending log is small.
+                self._transition(MigrationPhase.DELTA)
+                for _ in range(MAX_DELTA_ROUNDS):
+                    self._check_abort()
+                    if self._pending(chunk) <= DELTA_THRESHOLD:
+                        break
+                    rounds.append((yield self._spawn(self._delta_round(chunk))))
+
+                # Fence: the last instant ownership can be checked
+                # before the chunk freezes.  A lapsed lease means
+                # another node may already own the tenant.
+                if self.fence is not None and not self.fence():
+                    self._fail("fencing check failed at handover")
+                # An abort accepted up to here, the fence included,
+                # rolls back; from the last chunk's freeze on none is.
+                self._check_abort()
+
+                # Freeze, final delta (unthrottled), flip.
+                if chunk == self.num_chunks - 1:
+                    self._transition(MigrationPhase.HANDOVER)
+                freeze_started = self.env.now
+                quiesced = self._freeze(chunk)
+                self._chunk_transition(chunk, ChunkState.FROZEN)
+                try:
+                    yield quiesced
+                    rounds.append(
+                        (yield self._spawn(self._delta_round(chunk, throttled=False)))
+                    )
+                    if not self.chunk_map.flip_chunk(chunk, "target", token=self.token):
+                        self._fail("stale fencing token at chunk flip")
+                except BaseException:
+                    # Never leave a chunk frozen, whatever went wrong.
+                    self._thaw(chunk)
+                    raise
+                if self.chunked:
+                    # One chunk: the source retires frozen and its
+                    # successor takes the blocked writers.
+                    self._thaw(chunk)
+                self._chunk_transition(chunk, ChunkState.MIGRATED)
+                freezes.append(self.env.now - freeze_started)
+                if self.obs is not None:
+                    self.obs.on_migration_freeze(self, freezes[-1])
+                if self.on_chunk_flip is not None:
+                    yield from self.on_chunk_flip(chunk, rounds[-1])
         except Interrupt as interrupt:
             reason = self._abort_reason or str(interrupt.cause or "interrupted")
             self._abort_reason = reason
             self._rollback()
             raise MigrationAborted(reason) from None
 
-        # Every chunk is target-owned: retire the source.  Aborts are
-        # refused from here on (flipping back would lose writes).
-        self._transition(FluidPhase.FINALIZING)
-        if self.on_handover is not None and not self._handover_done:
-            self._handover_done = True
+        # Every chunk is target-owned: retire the source.
+        if self.on_handover is not None:
             self.on_handover(self.target)
         self.source.stop(successor=self.target)
-        self._transition(FluidPhase.COMPLETE)
+        self._transition(MigrationPhase.COMPLETE)
         return MigrationResult(
-            kind="fluid",
+            kind="fluid" if self.chunked else "live",
             duration=self.env.now - started_at,
-            downtime=max(freeze_durations, default=0.0),
-            total_bytes=copied_bytes + delta_bytes_total,
-            snapshot_bytes=copied_bytes,
-            num_chunks=self.num_chunks,
-            total_freeze_time=sum(freeze_durations),
+            downtime=max(freezes),
+            total_bytes=copied + sum(rounds),
+            snapshot_bytes=copied,
+            delta_rounds=len(rounds),
+            num_chunks=self.num_chunks if self.chunked else 0,
+            total_freeze_time=sum(freezes) if self.chunked else 0.0,
             target=self.target,
         )
 
 
 def check_fluid_invariants(migration: FluidMigration) -> list[str]:
-    """Audit one terminal fluid migration; returns violation strings.
+    """Audit one terminal migration; returns violation strings.
 
-    The battery the chaos fuzzer asserts after every fluid schedule:
-    exactly-once chunk ownership consistent with the terminal phase, no
-    page ever served by a non-owner, no chunk left frozen, and write
+    The battery the chaos fuzzer asserts after every schedule, live
+    (one chunk) and fluid alike: exactly-once chunk ownership
+    consistent with the terminal phase, no page ever served by a
+    non-owner, no chunk and no source left frozen, and write
     conservation across both residents (nothing double-counted by the
     router, nothing lost by the rollback).
     """
@@ -663,7 +855,9 @@ def check_fluid_invariants(migration: FluidMigration) -> list[str]:
         )
     if router.frozen_chunks:
         violations.append(f"chunks left frozen: {router.frozen_chunks}")
-    if migration.phase is FluidPhase.COMPLETE:
+    if migration.source.is_frozen:
+        violations.append(f"source {migration.source.name} left frozen")
+    if migration.phase is MigrationPhase.COMPLETE:
         wrong = sorted(c for c, side in owners.items() if side != "target")
         if wrong:
             violations.append(f"completed migration left chunks {wrong} on source")
@@ -676,7 +870,7 @@ def check_fluid_invariants(migration: FluidMigration) -> list[str]:
             violations.append(
                 f"completed migration left chunks {unmigrated} unmigrated"
             )
-    elif migration.phase is FluidPhase.ABORTED:
+    elif migration.phase is MigrationPhase.ABORTED:
         wrong = sorted(c for c, side in owners.items() if side != "source")
         if wrong:
             violations.append(f"aborted migration left chunks {wrong} on target")

@@ -31,8 +31,7 @@ from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import MB, PAGE_SIZE
 from ..simulation import Environment, Interrupt, Process
-from .live import MigrationAborted
-from .result import MigrationResult
+from .result import MigrationAborted, MigrationResult
 from .throttle import Throttle
 
 __all__ = ["PartialReplicaEngine", "OnDemandMigration"]

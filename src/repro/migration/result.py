@@ -1,4 +1,4 @@
-"""The one result type every migration engine returns."""
+"""The one result type every migration engine returns, and its abort."""
 
 from __future__ import annotations
 
@@ -7,7 +7,19 @@ from typing import Optional
 
 from ..db.engine import DatabaseEngine
 
-__all__ = ["MigrationResult"]
+__all__ = ["MigrationAborted", "MigrationResult"]
+
+
+class MigrationAborted(Exception):
+    """A migration was cancelled before its point of no return.
+
+    Raised from the engine's ``run``.  The source remains authoritative
+    and unfrozen; the partially-copied target is discarded.
+    """
+
+    def __init__(self, reason: str = ""):
+        super().__init__(reason)
+        self.reason = reason
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from ..db.backup import DEFAULT_CHUNK_BYTES
 from ..db.engine import DatabaseEngine
 from ..db.shared import SharedProcessEngine, TableLevelBackup
 from ..resources.server import Server
-from ..resources.units import KB, MB
+from ..resources.units import MB
 from ..simulation import Environment
-from .live import MigrationPhase
+from .fluid import DELTA_THRESHOLD, MAX_DELTA_ROUNDS, MigrationPhase
 from .result import MigrationResult
 from .throttle import Throttle
 
@@ -32,8 +32,6 @@ __all__ = ["SharedTenantMigration"]
 class SharedTenantMigration:
     """Snapshot → delta → handover for one tenant of a shared daemon."""
 
-    DEFAULT_DELTA_THRESHOLD = 64 * KB
-
     def __init__(
         self,
         env: Environment,
@@ -42,23 +40,15 @@ class SharedTenantMigration:
         target_server: Server,
         throttle: Throttle,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
-        max_delta_rounds: int = 8,
         target_buffer_bytes: int = 128 * MB,
         on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
     ):
-        if delta_threshold < 0:
-            raise ValueError(f"delta_threshold must be >= 0, got {delta_threshold}")
-        if max_delta_rounds < 1:
-            raise ValueError(f"max_delta_rounds must be >= 1, got {max_delta_rounds}")
         self.env = env
         self.source = source
         self.tenant_id = tenant_id
         self.target_server = target_server
         self.throttle = throttle
         self.chunk_bytes = chunk_bytes
-        self.delta_threshold = delta_threshold
-        self.max_delta_rounds = max_delta_rounds
         self.target_buffer_bytes = target_buffer_bytes
         self.on_handover = on_handover
         self.backup = TableLevelBackup(env, source, tenant_id, chunk_bytes)
@@ -118,9 +108,9 @@ class SharedTenantMigration:
         self.phase = MigrationPhase.DELTA
         rounds: list[int] = []  # bytes shipped per round
         ship_stream = f"{self.source.name}:binlog-t{self.tenant_id}"
-        while len(rounds) < self.max_delta_rounds:
+        while len(rounds) < MAX_DELTA_ROUNDS:
             pending = self.backup.pending_delta(self.target.replicated_lsn)
-            if pending <= self.delta_threshold:
+            if pending <= DELTA_THRESHOLD:
                 break
             to_lsn = self.source.binlog.head_lsn
             yield from self._ship(pending, ship_stream)

@@ -22,8 +22,7 @@ from ..db.engine import DatabaseEngine, FreezeMode
 from ..resources.server import Server
 from ..resources.units import PAGE_SIZE
 from ..simulation import Environment, Interrupt, Process
-from .live import MigrationAborted
-from .result import MigrationResult
+from .result import MigrationAborted, MigrationResult
 from .throttle import Throttle
 
 __all__ = ["StopAndCopyMigration", "DumpReimportMigration"]

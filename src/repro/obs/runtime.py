@@ -130,7 +130,7 @@ class Observability:
     # -- migration hooks -------------------------------------------------
 
     def on_migration_phase(self, migration, phase) -> None:
-        """Called by :meth:`LiveMigration._transition` on every edge."""
+        """Called by :meth:`FluidMigration._transition` on every edge."""
         self.migration_phases.inc()
         key = id(migration)
         open_span = self._phase_spans.pop(key, None)
@@ -147,7 +147,7 @@ class Observability:
             )
 
     def on_migration_freeze(self, migration, seconds: float) -> None:
-        """Called once per handover with the freeze (downtime) length."""
+        """Called once per chunk freeze (live: the handover) with its length."""
         self.migration_freeze_seconds.observe(seconds)
 
     # -- controller hooks ------------------------------------------------

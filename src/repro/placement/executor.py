@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..control.tuning import budget_setpoint
 from ..middleware.cluster import SlackerCluster
-from ..migration.live import MigrationAborted
+from ..migration.result import MigrationAborted
 from .budget import BudgetReservation, SlackBudgetLedger
 from .decisions import PlacementDecision, PlacementStats
 from .monitor import NodeLoad

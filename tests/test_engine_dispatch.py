@@ -14,7 +14,7 @@ from repro.middleware.cluster import SlackerCluster
 from repro.middleware.node import MIGRATION_METHODS
 from repro.middleware.tenant import TenantStatus
 from repro.middleware.transport import RetryPolicy
-from repro.migration import FluidPhase, MigrationAborted, MigrationPhase
+from repro.migration import MigrationAborted, MigrationPhase
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams, Trace
 from repro.workload import (
@@ -27,7 +27,7 @@ from repro.workload import (
 #: Reached while each engine can still roll back (its abort window).
 ABORTABLE = {
     "live": lambda m: m.phase is MigrationPhase.SNAPSHOT,
-    "fluid": lambda m: m.phase is FluidPhase.MIGRATING,
+    "fluid": lambda m: m.phase is MigrationPhase.SNAPSHOT,
     "on-demand": lambda m: m.switched_at is None,
     "stop-and-copy": lambda m: m.source.is_frozen,
     "dump-reimport": lambda m: m.source.is_frozen,

@@ -14,7 +14,7 @@ from repro.middleware.cluster import SlackerCluster
 from repro.middleware.protocol import Heartbeat
 from repro.middleware.tenant import TenantStatus
 from repro.middleware.transport import DeliveryError, MessageBus, RetryPolicy
-from repro.migration.live import MigrationAborted
+from repro.migration.result import MigrationAborted
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams
 

@@ -1,11 +1,13 @@
-"""Fluid chunked migration: chunk map, dual-resident routing, aborts.
+"""The chunk pipeline: chunk map, dual-resident routing, aborts.
 
-Covers the `repro.migration.fluid` pipeline end to end — exactly-once
+Covers the `repro.migration.fluid` pipeline end to end — live
+migration is its one-chunk case, and :class:`TestChunkPipeline` runs
+every engine check at one chunk and at sixteen — plus exactly-once
 chunk ownership under fencing tokens, per-chunk freeze windows, the
-abort/rollback path, frontend chunk directory + stale-subscriber
-resync, and the chaos-fuzz property that no interleaving of chunk
-handovers with crashes/partitions yields a page served by a non-owner
-or a lost write.
+frontend chunk directory + stale-subscriber resync, and the
+chaos-fuzz property that no interleaving of chunk handovers with
+crashes/partitions yields a page served by a non-owner or a lost
+write.
 """
 
 import random
@@ -27,11 +29,11 @@ from repro.migration.fluid import (
     ChunkMap,
     ChunkState,
     FluidMigration,
-    FluidPhase,
     FluidRouter,
+    MigrationPhase,
     check_fluid_invariants,
 )
-from repro.migration.live import LiveMigration, MigrationAborted
+from repro.migration.result import MigrationAborted
 from repro.migration.throttle import Throttle
 from repro.resources.server import Server
 from repro.resources.units import MB, mb_per_sec
@@ -127,19 +129,254 @@ class TestFluidRouterFreeze:
         assert router.chunk_write_quiesced(1).triggered
 
 
+#: Chunk counts every engine check runs at: live, and the fluid default.
+CHUNKS = (1, 16)
+
+
+def start_migration(
+    env, engine, target_server, num_chunks, rate_mb=8, client_rate=6.0, **kwargs
+):
+    """Build a migration with a client on the tenant, warmed up to t=2."""
+    throttle = Throttle(env, rate=mb_per_sec(rate_mb))
+    migration = FluidMigration(
+        env, engine, target_server, throttle, num_chunks=num_chunks, **kwargs
+    )
+    # One chunk: the tenant keeps its engine.  More: the router serves it.
+    tenant = migration.router if migration.chunked else engine
+    client = attach_client(env, tenant, rate=client_rate)
+    env.run(until=2.0)
+    return client, throttle, migration
+
+
+def run_to_end(env, migration, throttle):
+    result = env.run(until=env.process(migration.run()))
+    throttle.stop()
+    return result
+
+
+def drain(env, client):
+    """Stop the client and let every arrived transaction finish."""
+    env.run(until=env.now + 2.0)
+    client.stop()
+    env.run(until=env.now + 10.0)
+    assert client.stats.completed == client.stats.arrived
+
+
+def assert_rolled_back(migration, engine):
+    """The tenant is back on an unfrozen, serving source."""
+    assert migration.phase is MigrationPhase.ABORTED
+    assert migration.rolled_back
+    assert set(migration.chunk_map.owners().values()) == {"source"}
+    assert migration.router.frozen_chunks == []
+    assert engine.state is EngineState.RUNNING
+    assert not engine.is_frozen
+    if migration.target is not None:
+        assert migration.target.state is EngineState.STOPPED
+    assert check_fluid_invariants(migration) == []
+
+
+class _AbortOnEntry:
+    """Stands in for observability: requests an abort when the last
+    chunk's pipeline enters ``phase``."""
+
+    def __init__(self, phase):
+        self.phase = phase
+
+    def on_migration_phase(self, migration, phase):
+        last = migration.chunk_states[-1]
+        if phase is self.phase and last is ChunkState.COPYING:
+            migration.try_abort(f"abort at {phase.value}")
+
+    def on_migration_freeze(self, migration, seconds):
+        pass
+
+
+@pytest.mark.parametrize("num_chunks", CHUNKS)
+class TestChunkPipeline:
+    """One copy → freeze → handover engine, at one chunk and at many."""
+
+    def test_completes_with_every_chunk_target_owned(
+        self, env, engine, target_server, num_chunks
+    ):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks
+        )
+        result = run_to_end(env, migration, throttle)
+        assert migration.phase is MigrationPhase.COMPLETE
+        assert set(migration.chunk_map.owners().values()) == {"target"}
+        assert all(s is ChunkState.MIGRATED for s in migration.chunk_states)
+        assert migration.chunk_map.flips == num_chunks
+        assert engine.state is EngineState.STOPPED
+        assert engine.successor is result.target
+        assert result.duration > 0
+        # Every page copied exactly once, plus the shipped deltas.
+        assert result.snapshot_bytes == engine.data_bytes
+        assert result.total_bytes >= result.snapshot_bytes
+        assert result.delta_rounds >= num_chunks  # a final round per chunk
+        if num_chunks == 1:
+            assert (result.kind, result.num_chunks) == ("live", 0)
+        else:
+            assert (result.kind, result.num_chunks) == ("fluid", num_chunks)
+        assert check_fluid_invariants(migration) == []
+
+    def test_no_transactions_lost(self, env, engine, target_server, num_chunks):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks
+        )
+        run_to_end(env, migration, throttle)
+        drain(env, client)
+
+    def test_workload_continues_during_migration(
+        self, env, engine, target_server, num_chunks
+    ):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks
+        )
+        result = run_to_end(env, migration, throttle)
+        during = client.latencies.window_values(env.now - result.duration, env.now)
+        assert len(during) > 10  # transactions kept completing throughout
+
+    def test_abort_mid_copy_rolls_back(self, env, engine, target_server, num_chunks):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks, rate_mb=2, client_rate=8.0
+        )
+        proc = env.process(migration.run())
+        # 16 MB at 2 MB/s: by t=5 half the pages are copied, and with
+        # chunks some have flipped.
+        env.run(until=5.0)
+        while migration.phase is not MigrationPhase.SNAPSHOT:
+            env.step()
+        if migration.chunked:
+            assert "target" in migration.chunk_map.owners().values()
+        migration.abort("testing")
+        with pytest.raises(MigrationAborted, match="testing"):
+            env.run(until=proc)
+        assert_rolled_back(migration, engine)
+        # Target-resident writes were shipped home, none lost.
+        assert migration.reclaimed_writes == migration.router.writes_to_target
+        drain(env, client)
+
+    def test_aborted_target_is_discarded(
+        self, env, engine, target_server, num_chunks
+    ):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks, rate_mb=16
+        )
+        proc = env.process(migration.run())
+        while migration.target is None:
+            env.step()
+        assert migration.phase is MigrationPhase.PREPARE
+        migration.abort()
+        with pytest.raises(MigrationAborted):
+            env.run(until=proc)
+        assert migration.target.state is EngineState.STOPPED
+        assert_rolled_back(migration, engine)
+
+    def test_abort_refused_once_the_last_chunk_freezes(
+        self, env, engine, target_server, num_chunks
+    ):
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks, rate_mb=16
+        )
+        proc = env.process(migration.run())
+        while migration.phase is not MigrationPhase.HANDOVER:
+            env.step()
+        assert migration.chunk_states[-1] is ChunkState.FROZEN
+        assert not migration.try_abort("too late")
+        with pytest.raises(RuntimeError):
+            migration.abort()
+        env.run(until=proc)
+        assert migration.phase is MigrationPhase.COMPLETE
+        assert not migration.try_abort("too late")
+        with pytest.raises(RuntimeError):
+            migration.abort()
+
+    def test_failed_fence_check_aborts_before_the_flip(
+        self, env, engine, target_server, num_chunks
+    ):
+        throttle = Throttle(env, rate=mb_per_sec(8))
+        migration = FluidMigration(
+            env, engine, target_server, throttle,
+            num_chunks=num_chunks, fence=lambda: False,
+        )
+        proc = env.process(migration.run())
+        with pytest.raises(MigrationAborted, match="fencing check failed"):
+            env.run(until=proc)
+        assert migration.chunk_map.flips == 0
+        assert engine.stats.freeze_count == 0
+        assert_rolled_back(migration, engine)
+
+    def test_abort_accepted_at_the_fence_rolls_back(
+        self, env, engine, target_server, num_chunks
+    ):
+        # An abort the migration accepts must be honoured, even one
+        # requested synchronously from inside the fence of the last chunk.
+        accepted = []
+
+        def fence():
+            if migration.chunk_states[-1] is ChunkState.COPYING:
+                accepted.append(migration.try_abort("abort at the fence"))
+            return True
+
+        throttle = Throttle(env, rate=mb_per_sec(8))
+        migration = FluidMigration(
+            env, engine, target_server, throttle,
+            num_chunks=num_chunks, fence=fence,
+        )
+        proc = env.process(migration.run())
+        with pytest.raises(MigrationAborted, match="abort at the fence"):
+            env.run(until=proc)
+        assert accepted == [True]
+        assert_rolled_back(migration, engine)
+
+    def test_stale_token_flip_aborts(self, env, engine, target_server, num_chunks):
+        throttle = Throttle(env, rate=mb_per_sec(8))
+        migration = FluidMigration(
+            env, engine, target_server, throttle, num_chunks=num_chunks, token=3
+        )
+        # Another holder already committed under a higher token: every
+        # flip this migration attempts must bounce off the floor.
+        migration.chunk_map.flip_chunk(0, "source", token=99)
+        proc = env.process(migration.run())
+        with pytest.raises(MigrationAborted, match="stale fencing token"):
+            env.run(until=proc)
+        assert migration.chunk_map.stale_flips_rejected == 1
+        assert_rolled_back(migration, engine)
+
+    @pytest.mark.parametrize(
+        "phase",
+        (MigrationPhase.SNAPSHOT, MigrationPhase.PREPARE, MigrationPhase.DELTA),
+        ids=lambda phase: phase.value,
+    )
+    def test_nothing_left_frozen_on_any_exit(
+        self, env, engine, target_server, num_chunks, phase
+    ):
+        # Aborted as the last chunk enters each step, after every other
+        # chunk has flipped: the rollback flips them back, thaws
+        # whatever is frozen and discards the target.
+        client, throttle, migration = start_migration(
+            env, engine, target_server, num_chunks,
+            client_rate=12.0, obs=_AbortOnEntry(phase),
+        )
+        proc = env.process(migration.run())
+        with pytest.raises(MigrationAborted, match=f"abort at {phase.value}"):
+            env.run(until=proc)
+        assert_rolled_back(migration, engine)
+        assert migration.chunk_map.flips == 2 * (num_chunks - 1)
+        drain(env, client)
+
+
 class TestFluidMigration:
+    """What only a chunked migration does: per-chunk flips, dual residency."""
+
     def run_fluid(
         self, env, engine, target_server, rate_mb=8, client_rate=6.0, chunks=8
     ):
-        throttle = Throttle(env, rate=mb_per_sec(rate_mb))
-        migration = FluidMigration(
-            env, engine, target_server, throttle, num_chunks=chunks
+        client, throttle, migration = start_migration(
+            env, engine, target_server, chunks,
+            rate_mb=rate_mb, client_rate=client_rate,
         )
-        client = attach_client(env, migration.router, rate=client_rate)
-        env.run(until=2.0)
-        result = env.run(until=env.process(migration.run()))
-        throttle.stop()
-        return client, migration, result
+        return client, migration, run_to_end(env, migration, throttle)
 
     def test_parameter_validation(self, env, engine, target_server):
         throttle = Throttle(env, rate=1.0)
@@ -152,22 +389,6 @@ class TestFluidMigration:
             env, engine, target_server, throttle, num_chunks=10**6
         )
         assert migration.num_chunks == engine.layout.num_pages
-
-    def test_completes_with_every_chunk_target_owned(
-        self, env, engine, target_server
-    ):
-        client, migration, result = self.run_fluid(env, engine, target_server)
-        assert migration.phase is FluidPhase.COMPLETE
-        assert set(migration.chunk_map.owners().values()) == {"target"}
-        assert all(s is ChunkState.MIGRATED for s in migration.chunk_states)
-        assert engine.state is EngineState.STOPPED
-        assert engine.successor is result.target
-        assert result.num_chunks == 8
-        # Every page copied exactly once, plus each chunk's write delta.
-        assert result.snapshot_bytes == engine.data_bytes
-        logged = sum(migration.router.chunk_writes) * engine.costs.log_bytes_per_write
-        assert engine.data_bytes <= result.total_bytes <= engine.data_bytes + logged
-        assert check_fluid_invariants(migration) == []
 
     def test_one_flip_per_chunk_under_the_token(self, env, engine, target_server):
         client, migration, result = self.run_fluid(env, engine, target_server)
@@ -194,22 +415,10 @@ class TestFluidMigration:
         assert router.writes_to_source > 0
         assert router.writes_to_target > 0
 
-    def test_no_transactions_lost(self, env, engine, target_server):
-        client, migration, result = self.run_fluid(env, engine, target_server)
-        env.run(until=env.now + 2.0)
-        client.stop()
-        env.run(until=env.now + 10.0)
-        assert client.stats.completed == client.stats.arrived
-
-    def test_workload_continues_during_migration(self, env, engine, target_server):
-        client, migration, result = self.run_fluid(env, engine, target_server)
-        during = client.latencies.window_values(env.now - result.duration, env.now)
-        assert len(during) > 5  # transactions kept completing throughout
-
     def test_freeze_windows_shorter_than_live_freeze(self):
         """The Megaphone claim: N mini-freezes beat one whole-tenant one."""
         downtimes = {}
-        for method in ("live", "fluid"):
+        for num_chunks in (1, 8):
             env = Environment()
             streams = RandomStreams(7)
             src = Server(env, "src", streams=streams)
@@ -218,102 +427,11 @@ class TestFluidMigration:
                 env, src, TableLayout.for_data_size(16 * MB),
                 name="t", buffer_bytes=2 * MB,
             )
-            throttle = Throttle(env, rate=mb_per_sec(4))
-            if method == "live":
-                migration = LiveMigration(env, engine, dst, throttle)
-                client = attach_client(env, engine, rate=12.0)
-            else:
-                migration = FluidMigration(
-                    env, engine, dst, throttle, num_chunks=8
-                )
-                client = attach_client(env, migration.router, rate=12.0)
-            env.run(until=2.0)
-            result = env.run(until=env.process(migration.run()))
-            throttle.stop()
-            downtimes[method] = result.downtime
-        assert downtimes["fluid"] < downtimes["live"]
-
-
-class TestFluidAbort:
-    def start_fluid(self, env, engine, target_server, rate_mb=2, chunks=8):
-        throttle = Throttle(env, rate=mb_per_sec(rate_mb))
-        migration = FluidMigration(
-            env, engine, target_server, throttle, num_chunks=chunks
-        )
-        client = attach_client(env, migration.router, rate=8.0)
-        env.run(until=1.0)
-        proc = env.process(migration.run())
-        return client, throttle, migration, proc
-
-    def test_abort_mid_migration_rolls_every_chunk_back(
-        self, env, engine, target_server
-    ):
-        client, throttle, migration, proc = self.start_fluid(
-            env, engine, target_server
-        )
-        # 16 MB at 2 MB/s: by t=5 some chunks have flipped, most not.
-        env.run(until=5.0)
-        assert migration.phase is FluidPhase.MIGRATING
-        assert "target" in migration.chunk_map.owners().values()
-        migration.abort("testing")
-        with pytest.raises(MigrationAborted, match="testing"):
-            env.run(until=proc)
-        assert migration.phase is FluidPhase.ABORTED
-        assert migration.rolled_back
-        assert set(migration.chunk_map.owners().values()) == {"source"}
-        assert migration.router.frozen_chunks == []
-        # Target-resident writes were shipped home, none lost.
-        assert migration.reclaimed_writes == migration.router.writes_to_target
-        assert check_fluid_invariants(migration) == []
-        # Source keeps serving; the half-built target is discarded.
-        assert engine.state is EngineState.RUNNING
-        if migration.target is not None:
-            assert migration.target.state is EngineState.STOPPED
-        env.run(until=env.now + 2.0)
-        client.stop()
-        env.run(until=env.now + 10.0)
-        assert client.stats.completed == client.stats.arrived
-
-    def test_abort_after_complete_refused(self, env, engine, target_server):
-        client, throttle, migration, proc = self.start_fluid(
-            env, engine, target_server, rate_mb=16
-        )
-        env.run(until=proc)
-        assert migration.phase is FluidPhase.COMPLETE
-        assert not migration.try_abort("too late")
-        with pytest.raises(RuntimeError):
-            migration.abort()
-
-    def test_failed_fence_check_aborts_before_first_flip(
-        self, env, engine, target_server
-    ):
-        throttle = Throttle(env, rate=mb_per_sec(8))
-        migration = FluidMigration(
-            env, engine, target_server, throttle,
-            num_chunks=4, fence=lambda: False,
-        )
-        proc = env.process(migration.run())
-        with pytest.raises(MigrationAborted, match="fencing check failed"):
-            env.run(until=proc)
-        assert migration.phase is FluidPhase.ABORTED
-        assert set(migration.chunk_map.owners().values()) == {"source"}
-        assert check_fluid_invariants(migration) == []
-
-    def test_stale_token_flip_aborts(self, env, engine, target_server):
-        throttle = Throttle(env, rate=mb_per_sec(8))
-        migration = FluidMigration(
-            env, engine, target_server, throttle, num_chunks=4, token=3
-        )
-        # Another holder already committed under a higher token: every
-        # flip this migration attempts must bounce off the floor.
-        migration.chunk_map.flip_chunk(0, "source", token=99)
-        proc = env.process(migration.run())
-        with pytest.raises(MigrationAborted, match="stale fencing token"):
-            env.run(until=proc)
-        assert migration.phase is FluidPhase.ABORTED
-        assert migration.chunk_map.stale_flips_rejected >= 1
-        assert set(migration.chunk_map.owners().values()) == {"source"}
-        assert check_fluid_invariants(migration) == []
+            client, throttle, migration = start_migration(
+                env, engine, dst, num_chunks, rate_mb=4, client_rate=12.0
+            )
+            downtimes[num_chunks] = run_to_end(env, migration, throttle).downtime
+        assert downtimes[8] < downtimes[1]
 
 
 class TestFrontendChunkDirectory:

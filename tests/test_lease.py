@@ -16,7 +16,7 @@ from repro.middleware.protocol import (
 )
 from repro.middleware.transport import RetryPolicy
 from repro.migration.lease import LeaseManager
-from repro.migration.live import MigrationAborted
+from repro.migration.result import MigrationAborted
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams
 

@@ -1,11 +1,17 @@
-"""Integration tests for stop-and-copy and live migration."""
+"""Integration tests for stop-and-copy and live migration.
+
+Live migration is the one-chunk case of
+:class:`~repro.migration.fluid.FluidMigration`; the checks it shares
+with fluid migration are in ``tests/test_fluid.py``'s chunk table, and
+the paper's claims about the one-chunk case are here.
+"""
 
 import random
 
 import pytest
 
 from repro.db.engine import DatabaseEngine, EngineState
-from repro.migration.live import LiveMigration, MigrationPhase
+from repro.migration.fluid import FluidMigration
 from repro.migration.stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from repro.migration.throttle import Throttle
 from repro.resources.server import Server
@@ -104,25 +110,10 @@ class TestLiveMigration:
         client = attach_client(env, engine, rate=client_rate)
         env.run(until=2.0)
         throttle = Throttle(env, rate=mb_per_sec(rate_mb))
-        migration = LiveMigration(env, engine, target_server, throttle)
+        migration = FluidMigration(env, engine, target_server, throttle)
         result = env.run(until=env.process(migration.run()))
         throttle.stop()
         return client, migration, result
-
-    def test_parameter_validation(self, env, engine, target_server):
-        throttle = Throttle(env, rate=1.0)
-        with pytest.raises(ValueError):
-            LiveMigration(env, engine, target_server, throttle, delta_threshold=-1)
-        with pytest.raises(ValueError):
-            LiveMigration(env, engine, target_server, throttle, max_delta_rounds=0)
-        with pytest.raises(ValueError):
-            LiveMigration(env, engine, target_server, throttle, pipeline_depth=0)
-
-    def test_phases_progress_to_complete(self, env, engine, target_server):
-        client, migration, result = self.run_live(env, engine, target_server)
-        assert migration.phase is MigrationPhase.COMPLETE
-        assert result.snapshot_bytes == engine.data_bytes
-        assert result.duration > 0
 
     def test_consistency_at_handover(self, env, engine, target_server):
         client, migration, result = self.run_live(env, engine, target_server)
@@ -136,18 +127,6 @@ class TestLiveMigration:
     def test_downtime_well_under_one_second(self, env, engine, target_server):
         client, migration, result = self.run_live(env, engine, target_server)
         assert result.downtime < 1.0
-
-    def test_no_transactions_lost(self, env, engine, target_server):
-        client, migration, result = self.run_live(env, engine, target_server)
-        env.run(until=env.now + 2.0)
-        client.stop()
-        env.run(until=env.now + 10.0)
-        assert client.stats.completed == client.stats.arrived
-
-    def test_workload_continues_during_migration(self, env, engine, target_server):
-        client, migration, result = self.run_live(env, engine, target_server)
-        during = client.latencies.window_values(env.now - result.duration, env.now)
-        assert len(during) > 10  # transactions kept completing throughout
 
     def test_delta_rounds_ship_concurrent_writes(self, env, engine, target_server):
         # aggressive writes + slow migration: deltas must be non-empty
@@ -164,7 +143,7 @@ class TestLiveMigration:
     def test_on_handover_called_with_target(self, env, engine, target_server):
         seen = []
         throttle = Throttle(env, rate=mb_per_sec(16))
-        migration = LiveMigration(
+        migration = FluidMigration(
             env, engine, target_server, throttle, on_handover=seen.append
         )
         result = env.run(until=env.process(migration.run()))
@@ -180,7 +159,7 @@ class TestLiveMigration:
                 name=f"e{i}", buffer_bytes=2 * MB,
             )
             throttle = Throttle(env, rate=mb_per_sec(rate))
-            migration = LiveMigration(env, eng, dst, throttle)
+            migration = FluidMigration(env, eng, dst, throttle)
             result = env.run(until=env.process(migration.run()))
             throttle.stop()
             durations.append(result.duration)
@@ -205,7 +184,7 @@ class TestMigrationConsistencyProperty:
         client = attach_client(env, engine, rate=rate, seed=seed)
         env.run(until=1.0)
         throttle = Throttle(env, rate=mb_per_sec(6))
-        migration = LiveMigration(env, engine, dst, throttle)
+        migration = FluidMigration(env, engine, dst, throttle)
         result = env.run(until=env.process(migration.run()))
         throttle.stop()
 
@@ -218,57 +197,3 @@ class TestMigrationConsistencyProperty:
         client.stop()
         env.run(until=env.now + 30.0)
         assert client.stats.completed == client.stats.arrived
-
-
-class TestMigrationAbort:
-    def start_migration(self, env, engine, target_server, rate_mb=4):
-        client = attach_client(env, engine, rate=6.0)
-        env.run(until=1.0)
-        throttle = Throttle(env, rate=mb_per_sec(rate_mb))
-        migration = LiveMigration(env, engine, target_server, throttle)
-        proc = env.process(migration.run())
-        return client, throttle, migration, proc
-
-    def test_abort_during_snapshot_keeps_source_authoritative(
-        self, env, engine, target_server
-    ):
-        from repro.migration.live import MigrationAborted, MigrationPhase
-
-        client, throttle, migration, proc = self.start_migration(
-            env, engine, target_server
-        )
-        env.run(until=2.0)
-        assert migration.phase is MigrationPhase.SNAPSHOT
-        migration.abort("testing")
-        with pytest.raises(MigrationAborted, match="testing"):
-            env.run(until=proc)
-        assert migration.phase is MigrationPhase.ABORTED
-        # Source untouched: still running, never frozen, still serving.
-        assert engine.state is EngineState.RUNNING
-        env.run(until=env.now + 3.0)
-        client.stop()
-        env.run(until=env.now + 10.0)
-        assert client.stats.completed == client.stats.arrived
-
-    def test_abort_after_complete_refused(self, env, engine, target_server):
-        client, throttle, migration, proc = self.start_migration(
-            env, engine, target_server, rate_mb=16
-        )
-        env.run(until=proc)
-        with pytest.raises(RuntimeError):
-            migration.abort()
-
-    def test_aborted_target_is_discarded(self, env, engine, target_server):
-        from repro.migration.live import MigrationAborted
-
-        client, throttle, migration, proc = self.start_migration(
-            env, engine, target_server, rate_mb=16
-        )
-        # run until the prepare/delta phase so a target exists
-        while migration.target is None and proc.is_alive:
-            env.run(until=env.now + 0.5)
-        if proc.is_alive and migration.phase.value in ("prepare", "delta"):
-            migration.abort()
-            with pytest.raises(MigrationAborted):
-                env.run(until=proc)
-            assert migration.target.state is EngineState.STOPPED

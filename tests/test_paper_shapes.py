@@ -125,3 +125,12 @@ class TestZeroDowntime:
         # the target is authoritative and fully caught-up
         assert result.target.replicated_lsn >= result.snapshot_bytes * 0
         assert result.delta_rounds  # at least the final handover round
+
+
+class TestFig7Extended:
+    """Fluid migration beats live on the p99.9 tail at every matched rate."""
+
+    def test_fluid_beats_live_tail_at_every_rate(self):
+        from repro.experiments import fig7_tradeoff
+
+        assert fig7_tradeoff.run_extended(scale=0.1).violations() == []

@@ -229,16 +229,6 @@ class TestSharedTenantMigration:
         session, result = self.run_migration(env, shared, target_server)
         assert result.target.data_version >= before
 
-    def test_parameter_validation(self, env, shared, streams):
-        target_server = Server(env, "target", streams=streams)
-        throttle = Throttle(env, rate=1.0)
-        with pytest.raises(ValueError):
-            SharedTenantMigration(env, shared, 1, target_server, throttle,
-                                  delta_threshold=-1)
-        with pytest.raises(ValueError):
-            SharedTenantMigration(env, shared, 1, target_server, throttle,
-                                  max_delta_rounds=0)
-
     def test_deltas_ship_only_tenant_writes(self, env, shared, streams):
         target_server = Server(env, "target", streams=streams)
 
