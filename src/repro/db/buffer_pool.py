@@ -15,16 +15,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..resources.units import MB, PAGE_SIZE
 
 __all__ = ["AccessResult", "BufferPoolStats", "BufferPool"]
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one page access against the pool."""
+
+class AccessResult(NamedTuple):
+    """Outcome of one page access against the pool.
+
+    An immutable named tuple ``(hit, read_page, writeback_page)``: every
+    miss builds one, so construction is one ``tuple.__new__``.
+    """
 
     #: True if the page was already resident.
     hit: bool
@@ -115,7 +120,7 @@ class BufferPool:
                 self.stats.dirty_evictions += 1
                 writeback = victim
         self._pages[page_id] = write
-        return AccessResult(hit=False, read_page=page_id, writeback_page=writeback)
+        return _new_tuple(AccessResult, (False, page_id, writeback))
 
     def flush_page(self, page_id: int) -> bool:
         """Mark a resident dirty page clean; True if it was dirty.

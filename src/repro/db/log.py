@@ -15,14 +15,20 @@ accumulated between snapshot start and snapshot end.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["LogRecord", "BinaryLog"]
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One committed write in the binary log."""
+
+class LogRecord(NamedTuple):
+    """One committed write in the binary log.
+
+    An immutable named tuple ``(lsn, size, time, txn_id, tag)``: every
+    write appends one, so :meth:`BinaryLog.append` builds it with one
+    ``tuple.__new__``.
+    """
 
     #: LSN of the *start* of this record (byte offset in the log).
     lsn: int
@@ -68,13 +74,11 @@ class BinaryLog:
         """Append one record; returns the new head LSN."""
         if size <= 0:
             raise ValueError(f"record size must be positive, got {size}")
-        record = LogRecord(
-            lsn=self._head, size=size, time=time, txn_id=txn_id, tag=tag
-        )
-        self._records.append(record)
-        self._starts.append(record.lsn)
-        self._head += size
-        return self._head
+        lsn = self._head
+        self._records.append(_new_tuple(LogRecord, (lsn, size, time, txn_id, tag)))
+        self._starts.append(lsn)
+        self._head = head = lsn + size
+        return head
 
     def bytes_between(self, from_lsn: int, to_lsn: int) -> int:
         """Bytes of log in the half-open LSN range [from_lsn, to_lsn)."""

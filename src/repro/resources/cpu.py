@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import log as _log
 from typing import Generator, Iterable, Optional
 
 from ..simulation import Environment, Request, Resource, default_rng
@@ -77,7 +78,9 @@ class Cpu:
         if mean_seconds == 0:
             return 0.0
         if self.params.stochastic:
-            return self.rng.expovariate(1.0 / mean_seconds)
+            # CPython's ``expovariate(1.0 / mean_seconds)``, without the
+            # method call: the same draw, bit for bit.
+            return -_log(1.0 - self.rng.random()) / (1.0 / mean_seconds)
         return mean_seconds
 
     def execute(self, mean_seconds: float, priority: int = 0) -> Iterable:

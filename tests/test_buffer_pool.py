@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.buffer_pool import BufferPool
+from repro.db.buffer_pool import _HIT, AccessResult, BufferPool
 from repro.resources.units import PAGE_SIZE
 
 
@@ -116,6 +116,36 @@ class TestBufferPoolBasics:
         for page in range(10):
             pool.access(page)
         assert len(pool) == 3
+
+
+class TestAccessResultRecord:
+    """``AccessResult`` is a named tuple built once per miss."""
+
+    def test_field_names_and_order(self):
+        assert AccessResult._fields == ("hit", "read_page", "writeback_page")
+        assert tuple(_HIT) == (True, None, None)
+
+    def test_every_hit_returns_the_shared_result(self):
+        pool = pool_of(2)
+        pool.access(1)
+        pool.access(2, write=True)
+        hits = [pool.access(1), pool.access(2), pool.access(1, write=True)]
+        assert all(hit is _HIT for hit in hits)
+
+    def test_dirty_miss_names_the_victim(self):
+        pool = pool_of(1)
+        pool.access(7, write=True)
+        result = pool.access(8)
+        assert result == (False, 8, 7)
+        assert type(result) is AccessResult
+        assert (result.hit, result.read_page, result.writeback_page) == (False, 8, 7)
+
+    def test_fields_cannot_be_set(self):
+        result = pool_of(1).access(3)
+        with pytest.raises(AttributeError):
+            result.read_page = 4
+        with pytest.raises(AttributeError):
+            _HIT.hit = False
 
 
 class ReferenceLru:

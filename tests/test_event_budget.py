@@ -17,11 +17,18 @@ so in CHANGES.md.
 Every point runs under cProfile with observability off, and no function
 under ``repro/obs/`` may run: the obs layer's "zero cost when off" is
 checked by count here, not by timing.  The same profile gives the
-calls made into the kernel (``repro/simulation/``) and the resource
-models (``repro/resources/``); cProfile counts each generator resume as
-a call.  Both totals are pinned exactly: they depend only on the code
-in this repository, so a change that makes either layer busier fails
-here even when the event counts hold.
+calls made into the kernel (``repro/simulation/``), the resource
+models (``repro/resources/``) and the database engine (``repro/db/``);
+cProfile counts each generator resume as a call.  The totals are pinned
+exactly: they depend only on the code in this repository, so a change
+that makes a layer busier fails here even when the event counts hold.
+
+It also pins the calls to dataclass-generated ``__init__``s.  Their code
+is compiled from text, so every one is ``('<string>', line, '__init__')``
+and pstats keeps only one of them per label: they are summed over the
+profiler's raw entries instead.  A record built once per operation (a
+buffer-pool miss, a binlog write) is a named tuple, and turning one back
+into a dataclass fails here.
 
 Re-pinned when a service that cannot finish in place started at its
 grant (``Resource.serve``): a queued or served CPU burst, disk access
@@ -35,13 +42,19 @@ one-chunk case of the chunk pipeline: each chunk now copies through
 live's pipelined snapshot (a spawned process per piece, a bounded
 buffer) and runs a spawned prepare and final delta, so its trajectory
 moved and its events rose from 979 to 1,287.
+
+The generated-``__init__`` counts were pinned once ``AccessResult`` and
+``LogRecord`` became named tuples: they fell from 987 to 121 (fig5),
+3,846 to 405 (on-demand), 1,058 to 198 (fluid), 4,294 to 963 (chaos)
+and 1,345 to 373 (fleet drain), with every other count unchanged.
 """
 
 from __future__ import annotations
 
 import cProfile
 import gc
-import pstats
+import sys
+from collections import Counter
 
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.experiments import harness as harness_mod
@@ -59,17 +72,32 @@ def _counts(env):
 
 
 #: The layers whose call counts are pinned, as path fragments.
-PINNED_LAYERS = ("simulation", "resources")
+PINNED_LAYERS = ("simulation", "resources", "db")
 #: Python 3.12 inlines these comprehensions (PEP 709), so they are
 #: calls only on older interpreters; they are left out of the counts.
 INLINED = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
-def _unobserved(point, layer_calls):
+def _generated_init_owners():
+    """Map each dataclass-generated ``__init__`` code object in ``repro`` to its class."""
+    owners = {}
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for value in vars(module).values():
+            if isinstance(value, type):
+                code = getattr(value.__dict__.get("__init__"), "__code__", None)
+                if code is not None:
+                    owners[code] = value.__qualname__
+    return owners
+
+
+def _unobserved(point, layer_calls, generated_inits):
     """Run ``point()`` under cProfile; fail if any ``repro/obs`` function ran.
 
     Also fail unless the calls made into each of :data:`PINNED_LAYERS`
-    equal ``layer_calls`` (a tuple in that order).
+    equal ``layer_calls`` (a tuple in that order), and the calls to
+    dataclass-generated ``__init__``s equal ``generated_inits``.
     """
     # A process left suspended is in a reference cycle, and its
     # generator runs its ``finally`` blocks when the cycle collector
@@ -81,28 +109,38 @@ def _unobserved(point, layer_calls):
         result = profile.runcall(point)
     finally:
         gc.enable()
-    stats = pstats.Stats(profile).stats
-    ran = sorted(
-        f"{name} ({path}:{line})"
-        for path, line, name in stats
-        if "/repro/obs/" in path.replace("\\", "/")
-    )
-    assert not ran, f"observability is off, yet obs code ran: {ran}"
-    per_function = {layer: {} for layer in PINNED_LAYERS}
-    for (path, line, name), (_, calls, _, _, _) in stats.items():
+    ran = []
+    per_function = {layer: Counter() for layer in PINNED_LAYERS}
+    inits = Counter()
+    for entry in profile.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a built-in function
+            continue
+        path = code.co_filename.replace("\\", "/")
+        line, name = code.co_firstlineno, code.co_name
+        if "/repro/obs/" in path:
+            ran.append(f"{name} ({path}:{line})")
+        if path == "<string>" and name == "__init__":
+            inits[code] += entry.callcount
         if name in INLINED:
             continue
-        path = path.replace("\\", "/")
         for layer in PINNED_LAYERS:
             if f"/repro/{layer}/" in path:
                 key = f"{path.rsplit('/', 1)[1]}:{line}({name})"
-                per_function[layer][key] = calls
+                per_function[layer][key] += entry.callcount
+    assert not ran, f"observability is off, yet obs code ran: {sorted(ran)}"
     counted = tuple(sum(per_function[layer].values()) for layer in PINNED_LAYERS)
     assert counted == layer_calls, (counted, per_function)
+    if sum(inits.values()) != generated_inits:
+        owners = _generated_init_owners()
+        per_class = Counter()
+        for code, calls in inits.items():
+            per_class[owners.get(code, "?")] += calls
+        raise AssertionError((sum(inits.values()), per_class.most_common()))
     return result
 
 
-def _harness_counts(point, layer_calls):
+def _harness_counts(point, layer_calls, generated_inits):
     """Run ``point()`` and return the event counts of the env it built."""
     made = []
 
@@ -116,7 +154,7 @@ def _harness_counts(point, layer_calls):
     original = harness_mod.Environment
     harness_mod.Environment = Recorded
     try:
-        _unobserved(point, layer_calls)
+        _unobserved(point, layer_calls, generated_inits)
     finally:
         harness_mod.Environment = original
     (env,) = made
@@ -131,7 +169,8 @@ def test_fig5_throttle_point():
     cfg, spec = _fig5_config()
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(9957, 7626),
+        layer_calls=(9957, 7626, 7136),
+        generated_inits=121,
     )
     assert counts == (1071, 1852, 1271)
 
@@ -142,7 +181,8 @@ def test_on_demand_point():
     spec = MigrationSpec.on_demand(mb_per_sec(8))
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(101632, 83436),
+        layer_calls=(101632, 83436, 43248),
+        generated_inits=405,
     )
     assert counts == (11010, 18956, 15304)
 
@@ -153,7 +193,8 @@ def test_fluid_point():
     spec = MigrationSpec.fluid(mb_per_sec(8))
     counts = _harness_counts(
         lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(11189, 7301),
+        layer_calls=(11189, 7301, 5669),
+        generated_inits=198,
     )
     assert counts == (1287, 1741, 1205)
 
@@ -168,7 +209,8 @@ def test_chaos_fault_injection_point():
             warmup=2.0,
             run_limit=120.0,
         ),
-        layer_calls=(46793, 32461),
+        layer_calls=(46793, 32461, 30739),
+        generated_inits=963,
     )
     assert counts == (5161, 8220, 6081)
 
@@ -185,7 +227,8 @@ def test_fleet_drain_point():
             warmup=10.0,
             run_limit=400.0,
         ),
-        layer_calls=(9589, 7351),
+        layer_calls=(9589, 7351, 8603),
+        generated_inits=373,
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)
