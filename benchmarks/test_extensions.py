@@ -9,9 +9,9 @@ import random
 
 from benchmarks.conftest import run_once
 from repro.core import EVALUATION, Slacker
-from repro.db import SharedProcessEngine, SharedTenantSession, TableLayout
+from repro.db import SharedProcessEngine, TableLayout
 from repro.experiments import scaled_config
-from repro.migration import SharedTenantMigration, Throttle
+from repro.migration import FluidMigration, Throttle, check_fluid_invariants
 from repro.placement import LatencyHotspotDetector, PlacementManager
 from repro.resources import MB, Server, mb_per_sec
 from repro.simulation import Environment, RandomStreams, Trace
@@ -31,19 +31,16 @@ def shared_process_migration():
     target = Server(env, "standby", params=EVALUATION.server, streams=streams)
     shared = SharedProcessEngine(env, source, buffer_bytes=96 * MB)
     trace = Trace()
-    sessions = {}
     for tenant_id in (1, 2, 3):
         layout = TableLayout.for_data_size(256 * MB)
-        shared.add_tenant(tenant_id, layout)
-        session = SharedTenantSession(shared, tenant_id)
-        sessions[tenant_id] = session
+        tenant = shared.add_tenant(tenant_id, layout)
         factory = TransactionFactory(
             layout,
             UniformChooser(layout.num_rows, streams.stream(f"k{tenant_id}")),
             streams.stream(f"o{tenant_id}"),
         )
         BenchmarkClient(
-            env, session, factory,
+            env, tenant, factory,
             PoissonArrivals(1.2, streams.stream(f"a{tenant_id}")),
             trace=trace, series=f"t{tenant_id}",
         ).start()
@@ -51,21 +48,17 @@ def shared_process_migration():
     def experiment():
         yield env.timeout(15.0)
         throttle = Throttle(env, rate=mb_per_sec(8))
-        migration = SharedTenantMigration(
-            env, shared, 2, target, throttle,
-            target_buffer_bytes=96 * MB,
-            on_handover=sessions[2].rebind,
-        )
+        migration = FluidMigration(env, shared.tenants[2], target, throttle)
         result = yield env.process(migration.run())
         throttle.stop()
-        return result
+        return migration, result
 
-    result = env.run(until=env.process(experiment()))
-    return shared, result
+    migration, result = env.run(until=env.process(experiment()))
+    return shared, migration, result
 
 
 def test_shared_process_migration(benchmark):
-    shared, result = run_once(benchmark, shared_process_migration)
+    shared, migration, result = run_once(benchmark, shared_process_migration)
     print(f"\n  table-level migration: {result.duration:.1f} s, "
           f"downtime {result.downtime * 1000:.0f} ms, "
           f"deltas {result.total_bytes - result.snapshot_bytes} B")
@@ -75,9 +68,16 @@ def test_shared_process_migration(benchmark):
     assert sorted(shared.tenants) == [1, 3]
     # Table-level handover is just as live as process-level.
     assert result.downtime < 1.0
-    # Deltas shipped only tenant 2's records (a strict subset of the
-    # shared binlog, which all three tenants wrote into).
-    assert result.total_bytes - result.snapshot_bytes < shared.binlog.head_lsn
+    assert check_fluid_invariants(migration) == []
+    # Deltas read only tenant 2's own log; its neighbours wrote into
+    # theirs, none of which shipped.
+    moved = migration.source
+    neighbours = sum(shared.tenants[t].binlog.head_lsn for t in (1, 3))
+    assert neighbours > 0
+    assert result.total_bytes - result.snapshot_bytes <= moved.binlog.head_lsn
+    assert result.total_bytes - result.snapshot_bytes < (
+        moved.binlog.head_lsn + neighbours
+    )
 
 
 def autonomous_relief():

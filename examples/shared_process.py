@@ -8,9 +8,11 @@ Three tenants share one daemon — and therefore one buffer pool.  When
 tenant 2 turns scan-heavy it evicts its neighbours' hot pages (the
 isolation failure the paper's process-per-tenant model avoids).  A
 table-level live migration pulls tenant 2 out into a dedicated daemon
-on another server: only its tablespace is scanned, only its tagged
-binlog records ship, and its table write-lock handover leaves the
-neighbours untouched.
+on another server.  Each tenant of the daemon is a database engine of
+its own on the shared pool, so the migration is the ordinary live
+migration of that engine: only its tablespace is scanned, only its
+binlog ships, and its table write-lock handover leaves the neighbours
+untouched.
 
 Run::
 
@@ -18,9 +20,9 @@ Run::
 """
 
 from repro.analysis import summarize
-from repro.db import SharedProcessEngine, SharedTenantSession, TableLayout
 from repro.core.config import EVALUATION
-from repro.migration import SharedTenantMigration, Throttle
+from repro.db import SharedProcessEngine, TableLayout
+from repro.migration import FluidMigration, Throttle
 from repro.resources import MB, Server, mb_per_sec
 from repro.simulation import Environment, RandomStreams, Trace
 from repro.workload import (
@@ -46,13 +48,10 @@ def main() -> None:
     # One daemon, three tenants, ONE shared 96 MB buffer pool.
     shared = SharedProcessEngine(env, consolidated, buffer_bytes=96 * MB)
     trace = Trace()
-    sessions = {}
     arrivals = {}
     for tenant_id in (1, 2, 3):
         layout = TableLayout.for_data_size(256 * MB)
-        shared.add_tenant(tenant_id, layout)
-        session = SharedTenantSession(shared, tenant_id)
-        sessions[tenant_id] = session
+        tenant = shared.add_tenant(tenant_id, layout)
         factory = TransactionFactory(
             layout,
             UniformChooser(layout.num_rows, streams.stream(f"keys-{tenant_id}")),
@@ -62,7 +61,7 @@ def main() -> None:
             1.2, streams.stream(f"arrivals-{tenant_id}")
         )
         client = BenchmarkClient(
-            env, session, factory, arrivals[tenant_id],
+            env, tenant, factory, arrivals[tenant_id],
             trace=trace, series=f"tenant-{tenant_id}",
         )
         client.start()
@@ -87,11 +86,8 @@ def main() -> None:
     # Table-level live migration of tenant 2 to its own daemon.
     print("\nmigrating tenant 2 out (table-level hot backup, 8 MB/s)...")
     throttle = Throttle(env, rate=mb_per_sec(8))
-    migration = SharedTenantMigration(
-        env, shared, 2, standby, throttle,
-        target_buffer_bytes=128 * MB,
-        on_handover=sessions[2].rebind,
-    )
+    # The tenant's clients follow it: its stopped engine forwards them.
+    migration = FluidMigration(env, shared.tenants[2], standby, throttle)
     result = env.run(until=env.process(migration.run()))
     throttle.stop()
     print(f"  snapshot {result.snapshot_bytes / MB:.0f} MB (tenant 2's "

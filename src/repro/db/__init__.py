@@ -9,14 +9,9 @@ migration pipeline operates on.
 from .backup import DEFAULT_CHUNK_BYTES, Snapshot
 from .buffer_pool import AccessResult, BufferPool, BufferPoolStats
 from .engine import DatabaseEngine, EngineState, EngineStats, FreezeMode
-from .log import BinaryLog, LogRecord
+from .log import BinaryLog
 from .pages import DEFAULT_ROW_SIZE, TableLayout
-from .shared import (
-    SharedProcessEngine,
-    SharedTenant,
-    SharedTenantSession,
-    TableLevelBackup,
-)
+from .shared import SharedProcessEngine, SharedTenant
 from .transactions import Operation, OperationCosts, OpType, Transaction
 
 __all__ = [
@@ -30,15 +25,12 @@ __all__ = [
     "EngineState",
     "EngineStats",
     "FreezeMode",
-    "LogRecord",
     "Operation",
     "OperationCosts",
     "OpType",
     "SharedProcessEngine",
     "SharedTenant",
-    "SharedTenantSession",
     "Snapshot",
-    "TableLevelBackup",
     "TableLayout",
     "Transaction",
 ]

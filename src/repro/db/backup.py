@@ -7,9 +7,9 @@ consistent-in-time snapshot *without interrupting transaction
 processing*, streamable on the fly.
 
 The scan itself is the copy step of
-:class:`~repro.migration.fluid.FluidMigration` (and, for one tenant of
-a shared daemon, :class:`~repro.db.shared.TableLevelBackup`): it reads
-the data sequentially in fixed-size pieces, each queueing on the
+:class:`~repro.migration.fluid.FluidMigration` (for a tenant of a
+shared daemon, a table-level hot backup of its tablespace alone): it
+reads the data sequentially in fixed-size pieces, each queueing on the
 source server's disk — the I/O the throttle meters and tenants feel.
 While the scan runs, committed writes keep landing in the log; a
 :class:`Snapshot` records the log range the prepare step must replay.

@@ -237,11 +237,7 @@ class DatabaseEngine:
             yield from self._access_page(txn, page_id, is_write)
 
         if is_write:
-            self.binlog.append(
-                size=self.costs.log_bytes_per_write,
-                time=self.env.now,
-                txn_id=txn.txn_id,
-            )
+            self.binlog.append(self.costs.log_bytes_per_write)
         self.stats.operations += 1
 
     def _access_page(self, txn: Transaction, page_id: int, write: bool) -> Iterable:

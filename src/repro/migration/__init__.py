@@ -1,8 +1,9 @@
 """Migration engines, throttle, slack model and the PID throttle loop.
 
 Live and fluid migration are one chunked pipeline
-(:class:`FluidMigration`); stop-and-copy, dump-reimport and on-demand
-are the baselines."""
+(:class:`FluidMigration`), which also moves a tenant out of a
+shared-process daemon; stop-and-copy, dump-reimport and on-demand are
+the baselines."""
 
 from .controller import ControllerConfig, DynamicThrottleController, LatencyController
 from .fluid import (
@@ -16,7 +17,6 @@ from .fluid import (
 from .lease import Lease, LeaseManager, LeaseService
 from .on_demand import OnDemandMigration, PartialReplicaEngine
 from .result import MigrationAborted, MigrationResult
-from .shared_live import SharedTenantMigration
 from .slack import AdditiveSlackModel, EmpiricalSlackEstimator, RateLatencySample
 from .stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from .throttle import Throttle, ThrottleStats
@@ -42,7 +42,6 @@ __all__ = [
     "OnDemandMigration",
     "PartialReplicaEngine",
     "RateLatencySample",
-    "SharedTenantMigration",
     "StopAndCopyMigration",
     "Throttle",
     "ThrottleStats",

@@ -361,11 +361,7 @@ class FluidRouter:
                     # on a non-owner.  Cannot happen while flips wait
                     # for the chunk's writers to drain — tripwire only.
                     self.foreign_serves += 1
-                engine.binlog.append(
-                    size=self.costs.log_bytes_per_write,
-                    time=self.env.now,
-                    txn_id=txn.txn_id,
-                )
+                engine.binlog.append(self.costs.log_bytes_per_write)
                 self.chunk_writes[chunk] += 1
                 written[chunk] = written.get(chunk, 0) + 1
         anchor.stats.operations += 1
@@ -813,9 +809,11 @@ class FluidMigration:
             self._rollback()
             raise MigrationAborted(reason) from None
 
-        # Every chunk is target-owned: retire the source.
+        # Every chunk is target-owned: retire the source.  The target
+        # takes over its data version along with its writers.
         if self.on_handover is not None:
             self.on_handover(self.target)
+        self.target.data_version += self.source.data_version
         self.source.stop(successor=self.target)
         self._transition(MigrationPhase.COMPLETE)
         return MigrationResult(

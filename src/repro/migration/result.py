@@ -31,23 +31,22 @@ class MigrationResult:
     ``target=None``.
     """
 
-    #: "live", "fluid", "on-demand", "stop-and-copy", "dump-reimport",
-    #: or "shared" (a tenant pulled out of a shared-process daemon).
+    #: "live", "fluid", "on-demand", "stop-and-copy" or "dump-reimport".
+    #: A tenant pulled out of a shared-process daemon is "live".
     kind: str
     #: End-to-end migration time, seconds.
     duration: float
     #: The longest stall a transaction could see: the freeze window
-    #: (live, shared), the longest chunk freeze (fluid), the time to
+    #: (live), the longest chunk freeze (fluid), the time to
     #: the ownership switch (on-demand), or the whole copy
     #: (stop-and-copy, dump-reimport).
     downtime: float
     #: Bytes moved end to end.
     total_bytes: int
-    #: Snapshot volume (live, shared), or the summed chunk copies
-    #: (fluid).
+    #: Snapshot volume (live), or the summed chunk copies (fluid).
     snapshot_bytes: int = 0
     #: Delta rounds shipped, the final handover round included (live,
-    #: shared).
+    #: fluid).
     delta_rounds: int = 0
     #: Chunk count and summed per-chunk freeze time (fluid).
     num_chunks: int = 0

@@ -32,8 +32,8 @@ def _resolve_engine(target):
 
     Accepts a :class:`DatabaseEngine`, anything with an ``engine``
     attribute (a middleware ``Tenant``), or any duck-typed object with
-    a single-argument ``execute`` generator (a shared-process tenant
-    session).  Resolving per transaction means clients automatically
+    a single-argument ``execute`` generator (the fluid migration's
+    router).  Resolving per transaction means clients automatically
     follow a tenant across a migration handover, like applications
     receiving the frontend's location updates.
     """

@@ -51,10 +51,21 @@ def target_server(env, streams):
     return Server(env, "target-server", streams=streams)
 
 
+class CountingFactory(TransactionFactory):
+    """Counts the write operations of the transactions it builds."""
+
+    writes = 0
+
+    def build(self, arrived_at=None):
+        txn = super().build(arrived_at)
+        self.writes += txn.write_count
+        return txn
+
+
 def attach_client(env, engine, rate=6.0, seed=3):
     trace = Trace()
     chooser = UniformChooser(engine.layout.num_rows, random.Random(seed))
-    factory = TransactionFactory(engine.layout, chooser, random.Random(seed + 1))
+    factory = CountingFactory(engine.layout, chooser, random.Random(seed + 1))
     arrivals = PoissonArrivals(rate, random.Random(seed + 2))
     client = BenchmarkClient(env, engine, factory, arrivals, trace=trace, series="lat")
     client.start()
@@ -223,8 +234,12 @@ class TestChunkPipeline:
         client, throttle, migration = start_migration(
             env, engine, target_server, num_chunks
         )
-        run_to_end(env, migration, throttle)
+        result = run_to_end(env, migration, throttle)
         drain(env, client)
+        # The target's data version counts every committed write: the
+        # source's carried over at retirement, plus its own.
+        assert client.factory.writes > 0
+        assert result.target.data_version == client.factory.writes
 
     def test_workload_continues_during_migration(
         self, env, engine, target_server, num_chunks

@@ -30,6 +30,12 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
+@pytest.fixture(scope="module")
+def real_tree_findings():
+    """The project rules' findings on the real ``src/repro``, analysed once."""
+    return analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT).findings
+
+
 def project_findings(tmp_path, files, rule=None, config=None):
     write_tree(tmp_path, files)
     result = analyze_project([tmp_path], config=config, root=tmp_path)
@@ -439,9 +445,8 @@ class TestSLK104UnitsFlow:
         )
         assert findings == []
 
-    def test_real_tree_units_flow_is_clean(self):
-        result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
-        mismatches = [f for f in result.findings if f.rule == "SLK104"]
+    def test_real_tree_units_flow_is_clean(self, real_tree_findings):
+        mismatches = [f for f in real_tree_findings if f.rule == "SLK104"]
         assert mismatches == []
 
 
@@ -757,10 +762,9 @@ class TestSLK106PlacementLaunchPath:
         )
         assert findings == []
 
-    def test_real_placement_tree_is_clean(self):
+    def test_real_placement_tree_is_clean(self, real_tree_findings):
         """The shipped placement package itself obeys the invariant."""
-        result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
-        launches = [f for f in result.findings if f.rule == "SLK106"]
+        launches = [f for f in real_tree_findings if f.rule == "SLK106"]
         assert launches == []
 
 
@@ -879,10 +883,9 @@ class TestSLK107FencingTokenRequired:
         )
         assert findings == []
 
-    def test_real_migration_tree_is_clean(self):
+    def test_real_migration_tree_is_clean(self, real_tree_findings):
         """Every shipped migration-scope frame already carries token=."""
-        result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
-        unfenced = [f for f in result.findings if f.rule == "SLK107"]
+        unfenced = [f for f in real_tree_findings if f.rule == "SLK107"]
         assert unfenced == []
 
 
@@ -982,10 +985,9 @@ class TestSLK108ChunkFlipFenced:
         )
         assert findings == []
 
-    def test_real_migration_tree_is_clean(self):
+    def test_real_migration_tree_is_clean(self, real_tree_findings):
         """Every shipped chunk flip already goes through the fence."""
-        result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
-        unfenced = [f for f in result.findings if f.rule == "SLK108"]
+        unfenced = [f for f in real_tree_findings if f.rule == "SLK108"]
         assert unfenced == []
 
 
