@@ -799,6 +799,11 @@ SERVICE_RECEIVERS = {
     "_access_page": re.compile(r""),
 }
 
+#: Receivers whose ``.get(...)`` may be met in place (see
+#: :class:`UnconsumedServiceRule`): the names the ``Store`` queues and
+#: the ``Container`` buckets of ``src/`` go by.
+GET_RECEIVERS = re.compile(r"(queue|inbox|slots|pieces|bucket)$", re.IGNORECASE)
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -812,26 +817,38 @@ def _own_nodes(func: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _is_service_call(node: ast.AST) -> bool:
-    """A call of a service method on a receiver named for its device."""
+def _receiver_name(node: ast.AST) -> Optional[str]:
+    """The name a method call's receiver goes by, if it is a plain one."""
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-        return False
-    pattern = SERVICE_RECEIVERS.get(node.func.attr)
-    if pattern is None:
-        return False
+        return None
     receiver = node.func.value
     if isinstance(receiver, ast.Attribute):
-        name = receiver.attr
-    elif isinstance(receiver, ast.Name):
-        name = receiver.id
-    else:
+        return receiver.attr
+    if isinstance(receiver, ast.Name):
+        return receiver.id
+    return None
+
+
+def _is_service_call(node: ast.AST) -> bool:
+    """A call of a service method on a receiver named for its device."""
+    name = _receiver_name(node)
+    if name is None:
         return False
-    return pattern.search(name) is not None
+    pattern = SERVICE_RECEIVERS.get(node.func.attr)
+    return pattern is not None and pattern.search(name) is not None
+
+
+def _is_get_call(node: ast.AST) -> bool:
+    """A ``.get(...)`` on a receiver named for a queue or a bucket."""
+    name = _receiver_name(node)
+    if name is None or node.func.attr != "get":
+        return False
+    return GET_RECEIVERS.search(name) is not None
 
 
 @register
 class UnconsumedServiceRule(Rule):
-    """SLK013: a resource-service call in a process not consumed by ``yield from``.
+    """SLK013: a service call or a queue get in a process not consumed at once.
 
     ``Cpu.execute``, ``Disk.read``/``write``, ``NetworkLink.transfer``
     and the engine's ``_access_page`` do their work when called: a
@@ -850,10 +867,23 @@ class UnconsumedServiceRule(Rule):
     caller (as ``Disk.read`` does), and at the top level a service is
     always a generator that does all of its work once run.  Receivers
     are matched by name (``cpu``, ``disk``, ``nic``/``link``).
+
+    A ``.get(...)`` on a queue or a bucket (a receiver named like
+    ``*queue``, ``inbox``, ``slots``, ``pieces`` or ``*bucket``) follows
+    the same contract with ``yield``: a get met at once, with nothing
+    else due, takes its item there and returns an event already
+    processed, which is right only if the process yields it before
+    anything else is scheduled.  So inside a process it is the operand
+    of a ``yield`` in the same statement::
+
+        txn = yield self._queue.get()
     """
 
     id = "SLK013"
-    summary = "resource-service call in a process not consumed by `yield from` at once"
+    summary = (
+        "resource-service call or queue/bucket get in a process "
+        "not consumed by `yield from`/`yield` at once"
+    )
 
     def visit_Module(self, node: ast.Module) -> None:
         for func in ast.walk(node):
@@ -865,6 +895,7 @@ class UnconsumedServiceRule(Rule):
             consumed = {
                 id(n.value) for n in nodes if isinstance(n, ast.YieldFrom)
             }
+            yielded = {id(n.value) for n in nodes if isinstance(n, ast.Yield)}
             for sub in nodes:
                 if _is_service_call(sub) and id(sub) not in consumed:
                     self.report(
@@ -873,6 +904,14 @@ class UnconsumedServiceRule(Rule):
                         "by `yield from` in the same statement: the service "
                         "does its work when called and may hold a unit the "
                         "returned generator releases",
+                    )
+                elif _is_get_call(sub) and id(sub) not in yielded:
+                    self.report(
+                        sub,
+                        "`.get(...)` on a queue or bucket in a process must be "
+                        "yielded in the same statement: a get met at once "
+                        "continues in place, which holds only if nothing is "
+                        "scheduled before the yield",
                     )
 
 

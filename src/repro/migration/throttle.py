@@ -15,11 +15,13 @@ database to recover", Section 5.4).
 
 Refill ticks are **coalesced**: instead of a kernel event every tick
 (20/sec at the default 0.05 s tick, granted or not), the throttle
-settles elapsed ticks analytically on every interaction and schedules
-a real wakeup only at the tick where the oldest blocked request can
-actually be granted.  A paused (rate 0) or idle throttle costs zero
-kernel events.  The settlement replays the *exact* per-tick float
-arithmetic of the eager loop — chained tick timestamps via
+settles elapsed ticks analytically on every interaction and arms one
+wake-up timeout only at the tick where the oldest blocked request can
+actually be granted.  The wake-up is a callback, not a process: it
+settles and re-arms itself, and a rate change re-arms it at once,
+leaving the old timeout to fire as a no-op.  A paused (rate 0) or
+idle throttle costs zero kernel events.  The settlement replays the
+*exact* per-tick float arithmetic of the eager loop — chained tick timestamps via
 :class:`~repro.simulation.timers.PeriodicTicker` and per-tick
 ``min(capacity, level + rate * tick)`` deposits — so grant times,
 amounts, and stats are identical to the eager loop's.  The eager loop
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..resources.units import MB
-from ..simulation import Container, Environment, Interrupt, PeriodicTicker
+from ..simulation import Container, Environment, PeriodicTicker, Timeout
 
 __all__ = ["ThrottleStats", "Throttle", "MAX_WALK_TICKS"]
 
@@ -44,8 +46,8 @@ DEFAULT_TICK = 0.05
 #: Default bucket depth: bounds burst after an idle period.
 DEFAULT_BUCKET_BYTES = 4 * MB
 
-#: Most refill ticks the service loop walks ahead (204.8 s at the
-#: default tick).  A grant further out wakes the loop at the last
+#: Most refill ticks a wake-up walks ahead (204.8 s at the default
+#: tick).  A grant further out wakes the throttle at the last
 #: walked tick to settle and walk again, so a stream throttled to a
 #: crawl costs O(elapsed ticks) instead of a walk to a grant years
 #: away on every rate change.  Every pinned experiment point walks
@@ -92,9 +94,10 @@ class Throttle:
         #: *unsettled* tick.  Ticks strictly before ``env.now`` are
         #: always settled before any state is read or changed.
         self._ticker = PeriodicTicker(env, tick)
-        #: Service process, alive only while requests are blocked and
-        #: the rate is positive (see :meth:`_service_loop`).
-        self._service = None
+        #: The one armed wake-up, set only while requests are blocked
+        #: and the rate is positive (see :meth:`_arm`).  A timeout that
+        #: is no longer this one is stale and does nothing when it fires.
+        self._wakeup: Optional[Timeout] = None
 
     @property
     def rate(self) -> float:
@@ -124,7 +127,9 @@ class Throttle:
             self.stats.rate_changes += 1
         self._rate = float(rate)
         if self._running and changed:
-            self._reschedule_service()
+            # The pending wake-up may now be too late (rate raised) or
+            # premature (rate lowered or zeroed): arm a fresh one.
+            self._arm()
 
     def average_rate(self) -> float:
         """Time-averaged configured rate since construction, bytes/second."""
@@ -142,18 +147,18 @@ class Throttle:
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+        bucket = self._bucket
         remaining = float(nbytes)
         while remaining > 0:
-            piece = min(remaining, self._bucket.capacity)
+            piece = min(remaining, bucket.capacity)
             self._settle(inclusive=True)
-            get_event = self._bucket.get(piece)
-            if get_event.callbacks is not None and not self._service_alive():
-                # Blocked with no wakeup pending: start the service
-                # process.  (If it is already alive this request queued
-                # behind the head, whose wakeup is unchanged — FIFO
-                # serve order.)
-                self._reschedule_service()
-            yield get_event
+            if piece > bucket._level and not bucket._getters and self._wakeup is None:
+                # About to block at the head of the queue: arm its
+                # wake-up.  A request queued behind the head waits on
+                # the head's (FIFO serve order), and a head with none
+                # armed is paused, stopped or never granted.
+                self._arm(piece)
+            yield bucket.get(piece)
             remaining -= piece
         self.stats.bytes_granted += int(nbytes)
         self.stats.grants += 1
@@ -200,27 +205,50 @@ class Throttle:
             ticker.skip(1)
             bucket.put(deposit)
 
-    def _service_alive(self) -> bool:
-        return self._service is not None and self._service.is_alive
+    def _arm(self, head: Optional[float] = None) -> None:
+        """Arm the one wake-up the current queue and rate call for.
 
-    def _reschedule_service(self) -> None:
-        """Ensure the service process reflects the current queue/rate."""
-        if self._service_alive():
-            # Recompute the wakeup: the pending one may now be too late
-            # (rate raised) or premature (rate lowered/zeroed).
-            self._service.interrupt()
-        elif self._bucket._getters and self._rate > 0:
-            self._service = self.env.process(self._service_loop())
+        It fires at the tick where the queue's head (of ``head`` bytes;
+        by default the oldest blocked request) is granted, or at the
+        last tick of a walk that found none (its value is then True).
+        Any timeout armed before goes stale.
+        """
+        self._wakeup = None
+        if head is None:
+            if not self._bucket._getters:
+                return
+            head = self._bucket._getters[0][1]
+        if not (self._running and self._rate > 0):
+            return
+        ticks = self._ticks_until_grant(head)
+        if ticks == 0:
+            return  # rate too small to ever grant; set_rate re-arms
+        walked_out = ticks > MAX_WALK_TICKS
+        target = self._ticker.peek(min(ticks, MAX_WALK_TICKS) - 1)
+        wakeup = self.env.timeout_at(target, walked_out)
+        wakeup.callbacks.append(self._wake)
+        self._wakeup = wakeup
 
-    def _ticks_until_grant(self) -> int:
-        """Ticks (>= 1) until the queue head's request can be served.
+    def _wake(self, wakeup: Timeout) -> None:
+        """Settle at an armed tick, then arm the next wake-up."""
+        if wakeup is not self._wakeup:
+            return  # stale: a rate change re-armed the throttle
+        # Deposits through now; grants the head (and any queued
+        # requests the remaining credit covers) at this tick.  At the
+        # end of a walk that found no grant, the tick at now grants
+        # nothing and is left unsettled, as it would be had nothing
+        # woken: a rate change at this instant still applies to it.
+        self._settle(inclusive=not wakeup._value)
+        self._arm()
+
+    def _ticks_until_grant(self, amount: float) -> int:
+        """Ticks (>= 1) until a head request of ``amount`` can be served.
 
         Walks the same chained float arithmetic the settlement will
         perform, so the predicted tick is exact.  Returns 0 when no
         tick ever grants it and ``MAX_WALK_TICKS + 1`` when none of the
         next :data:`MAX_WALK_TICKS` does.
         """
-        amount = self._bucket._getters[0][1]
         level = self._bucket._level
         capacity = self._bucket.capacity
         deposit = self._rate * self.tick
@@ -232,31 +260,7 @@ class Throttle:
             if level == before:
                 # Deposit vanished in float rounding: the eager loop
                 # would tick forever without ever granting.  Report "no
-                # grant tick"; the service loop parks until a rate
-                # change makes progress possible again.
+                # grant tick"; no wake-up is armed until a rate change
+                # makes progress possible again.
                 return 0
         return MAX_WALK_TICKS + 1
-
-    def _service_loop(self):
-        """Wake exactly at ticks where the oldest blocked request is
-        granted; all other ticks settle analytically."""
-        env = self.env
-        while self._running and self._rate > 0 and self._bucket._getters:
-            ticks = self._ticks_until_grant()
-            if ticks == 0:
-                return  # rate too small to ever grant; set_rate restarts
-            walked_out = ticks > MAX_WALK_TICKS
-            target = self._ticker.peek(min(ticks, MAX_WALK_TICKS) - 1)
-            try:
-                yield env.timeout_at(target)
-            except Interrupt:
-                # set_rate already settled and updated the rate; just
-                # recompute (or exit, if paused) on the next pass.
-                continue
-            # Deposits through now; grants the head (and any queued
-            # requests the remaining credit covers) at this tick.  At
-            # the end of a walk that found no grant, the tick at now
-            # grants nothing and is left unsettled, as it would be had
-            # nothing woken: a rate change at this instant still
-            # applies to it.
-            self._settle(inclusive=not walked_out)

@@ -484,13 +484,17 @@ class Environment:
 
     @property
     def inline_grants(self) -> int:
-        """Resource grants that cost no event.
+        """Hand-offs that cost no event.
 
-        Every grant is one: a unit is granted to a service that starts
-        at once (:meth:`~repro.simulation.resources.Resource.serve`),
-        whose caller resumes only at the service's end, if at all.
-        ``processed_events + inline_grants`` is what the same trajectory
-        costs when every grant is an event.  Kept apart from
+        Every unit grant is one: a unit is granted to a service that
+        starts at once (:meth:`~repro.simulation.resources.Resource.serve`),
+        whose caller resumes only at the service's end, if at all.  So
+        is every queue or bucket get met in place
+        (:meth:`~repro.simulation.resources.Store.get`,
+        :meth:`~repro.simulation.resources.Container.get`), whose event
+        would have been the next one processed.  ``processed_events +
+        inline_grants`` is what the same trajectory costs when every
+        grant and every get is an event.  Kept apart from
         :attr:`elided_events`, which counts coalesced ticks.
         """
         return self._inline

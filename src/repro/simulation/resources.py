@@ -9,6 +9,12 @@ Provides the queueing building blocks used throughout the reproduction:
   get from (the token bucket of the migration throttle).
 * :class:`Store` — a FIFO queue of discrete items (message queues in
   the middleware layer).
+
+A ``get`` on either that can be met at once, with no getter queued
+ahead, takes its item or amount there and, when nothing else is due
+at ``now`` (``_horizon() > now``), returns an event that is already
+processed: the caller's ``yield`` continues in place instead of
+waiting for an event the kernel would have processed next anyway.
 """
 
 from __future__ import annotations
@@ -31,6 +37,26 @@ __all__ = [
     "Container",
     "Store",
 ]
+
+
+def _done(env: Environment, value: Any) -> Event:
+    """A get met in place: an event already processed with ``value``.
+
+    Succeeding a pending event here would schedule it at ``now``, and
+    with ``_horizon() > now`` it would be the next event processed,
+    resuming the caller alone.  So the caller's ``yield`` may feed the
+    value straight back instead, provided nothing is scheduled between
+    the get and that ``yield`` (lint rule SLK013).  Counted in
+    :attr:`~repro.simulation.core.Environment.inline_grants`.
+    """
+    env._inline += 1
+    event = _new_event(Event)
+    event.env = env
+    event.callbacks = None
+    event._value = value
+    event._ok = True
+    event._defused = False
+    return event
 
 
 class Request(Event):
@@ -198,14 +224,23 @@ class Container:
         self._serve()
 
     def get(self, amount: float) -> Event:
-        """Return an event that fires once ``amount`` can be withdrawn."""
+        """Return an event that fires once ``amount`` can be withdrawn.
+
+        With no getter queued, enough in the container and nothing else
+        due at ``now``, the amount is withdrawn here and the event comes
+        back already processed (see :func:`_done`): yield it at once.
+        """
         if amount < 0:
             raise ValueError(f"cannot get negative amount {amount}")
         if amount > self.capacity:
             raise ValueError(
                 f"get({amount}) exceeds container capacity {self.capacity}"
             )
-        event = Event(self.env)
+        env = self.env
+        if not self._getters and amount <= self._level and env._horizon() > env._now:
+            self._level -= amount
+            return _done(env, amount)
+        event = Event(env)
         self._getters.append((event, amount))
         self._serve()
         return event
@@ -239,8 +274,17 @@ class Store:
         self._serve()
 
     def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = Event(self.env)
+        """Return an event that fires with the next available item.
+
+        With an item queued (so no getter is: a put hands its item
+        straight to the oldest) and nothing else due at ``now``, the
+        item is taken here and the event comes back already processed
+        (see :func:`_done`): yield it at once.
+        """
+        env = self.env
+        if self._items and env._horizon() > env._now:
+            return _done(env, self._items.pop(0))
+        event = Event(env)
         self._getters.append(event)
         self._serve()
         return event

@@ -63,9 +63,21 @@ class UniformChooser:
             raise ValueError(f"num_keys must be positive, got {num_keys}")
         self.num_keys = num_keys
         self.rng = rng
+        self._bits = num_keys.bit_length()
 
     def choose(self) -> int:
-        return self.rng.randrange(self.num_keys)
+        """``rng.randrange(num_keys)``, drawn as CPython draws it.
+
+        ``randrange(n)`` takes ``n.bit_length()`` random bits until they
+        fall below ``n``; the loop is inlined here to spare the two
+        library calls per key.
+        """
+        num_keys = self.num_keys
+        getrandbits = self.rng.getrandbits
+        key = getrandbits(self._bits)
+        while key >= num_keys:
+            key = getrandbits(self._bits)
+        return key
 
 
 class ZipfianChooser:

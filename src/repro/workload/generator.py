@@ -71,20 +71,33 @@ class TransactionFactory:
         self.max_scan_length = max_scan_length
         self._ids = itertools.count(1)
 
-    def build_operation(self) -> Operation:
-        """Draw one operation from the mix."""
-        op_type = self.mix.sample(self.rng)
-        key = self.chooser.choose() % self.layout.num_rows
-        if op_type.is_scan:
-            length = self.rng.randint(1, self.max_scan_length)
-            length = min(length, self.layout.num_rows - key)
-            return Operation(op_type, key, max(1, length))
-        return Operation(op_type, key)
-
     def build(self, arrived_at: Optional[float] = None) -> Transaction:
-        """Build one transaction of ``ops_per_txn`` operations."""
-        build_operation = self.build_operation
-        operations = [build_operation() for _ in range(self.ops_per_txn)]
+        """Build one transaction of ``ops_per_txn`` operations.
+
+        Each operation draws, in this order: one uniform for the mix,
+        the chooser's key, and a length if it is a scan.  The mix's
+        running sums are walked here rather than through
+        :meth:`OperationMix.sample`, with the same comparisons.
+        """
+        draw = self.rng.random
+        cumulative = self.mix._cumulative
+        choose = self.chooser.choose
+        num_rows = self.layout.num_rows
+        operations = []
+        append = operations.append
+        for _ in range(self.ops_per_txn):
+            u = draw()
+            # A walk that never breaks ends on the last type, as
+            # ``sample``'s guard against a floating-point shortfall does.
+            for acc, op_type in cumulative:
+                if u < acc:
+                    break
+            key = choose() % num_rows
+            if op_type.is_scan:
+                length = min(self.rng.randint(1, self.max_scan_length), num_rows - key)
+                append(Operation(op_type, key, max(1, length)))
+            else:
+                append(Operation(op_type, key))
         return Transaction(next(self._ids), operations, arrived_at=arrived_at)
 
 

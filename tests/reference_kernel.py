@@ -15,6 +15,10 @@ the current fast path and demand identical trajectories
 * :func:`process_per_txn_worker_loop` / :func:`process_per_txn_user_loop`
   — the open and closed benchmark clients' loops before transactions
   ran inline: each transaction in its own child ``Process``;
+* :class:`Store` / :class:`Container` — the queue and the bucket with
+  ``get`` in its plainest form: every get is queued and succeeded
+  through the wait list, so its event is always scheduled; nothing is
+  met in place;
 * :class:`EagerThrottle` — the throttle's eager refill loop, one kernel
   event per tick, before refills were coalesced
   (``tests/test_coalesced_timers.py``);
@@ -45,6 +49,7 @@ from repro.simulation.core import (
     StopSimulation,
     Timeout,
 )
+from repro.simulation import resources
 from repro.simulation.resources import Request
 from repro.workload.client import _resolve_engine
 
@@ -52,12 +57,14 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 __all__ = [
+    "Container",
     "EagerThrottle",
     "GeneratorCpu",
     "GeneratorDisk",
     "GeneratorNetworkLink",
     "HeapEnvironment",
     "Resource",
+    "Store",
     "process_per_txn_user_loop",
     "process_per_txn_worker_loop",
 ]
@@ -230,6 +237,26 @@ class Resource:
             self.env._schedule(request, delay=service)
 
 
+class Store(resources.Store):
+    """:class:`~repro.simulation.resources.Store` whose get always queues."""
+
+    def get(self) -> Event:
+        event = Event(self.env)
+        self._getters.append(event)
+        self._serve()
+        return event
+
+
+class Container(resources.Container):
+    """:class:`~repro.simulation.resources.Container` whose get always queues."""
+
+    def get(self, amount: float) -> Event:
+        event = Event(self.env)
+        self._getters.append((event, amount))
+        self._serve()
+        return event
+
+
 class GeneratorCpu(Cpu):
     """:class:`~repro.resources.cpu.Cpu` whose bursts are always generators.
 
@@ -346,8 +373,8 @@ class EagerThrottle(Throttle):
     kernel event per tick.
 
     The refill loop deposits every tick as it falls due, so there is
-    nothing to settle and no grant wakeup to schedule: both hooks of
-    the coalesced path are no-ops here.
+    nothing to settle and no grant wake-up to arm: both hooks of the
+    coalesced path are no-ops here.
     """
 
     def __init__(self, env: Environment, rate: float, **kwargs):
@@ -357,7 +384,7 @@ class EagerThrottle(Throttle):
     def _settle(self, inclusive: bool) -> None:
         pass
 
-    def _reschedule_service(self) -> None:
+    def _arm(self, head=None) -> None:
         pass
 
     def _refill_loop(self):

@@ -183,6 +183,198 @@ class TestThrottleEagerVsCoalesced:
         assert throttle.level == 0.0
 
 
+def _pending_wakeup_scenario(throttle_cls, action, at_tick):
+    """A blocked request whose grant wake-up is pending when ``action`` runs.
+
+    A 2 MB request at 10 MB/s is granted on the fourth 0.05 s tick.
+    ``action(throttle)`` runs on tick ``at_tick`` (0 is the first, 3
+    the grant tick itself), from a timeout scheduled before the request
+    blocked, so it runs ahead of the wake-up, as a rate setter runs
+    ahead of the eager loop's tick at the same instant.  (The eager
+    loop schedules its first tick before any timeout in the scenario,
+    so no action runs on tick 0.)
+    """
+    env = Environment()
+    throttle = throttle_cls(env, rate=10 * MB)
+    when = PeriodicTicker(env, throttle.tick).peek(at_tick)
+    grants = []
+    levels = []
+
+    def controller():
+        yield env.timeout_at(when)
+        action(throttle)
+        # Levels are read between ticks: at a tick instant the lazy
+        # read settles that tick, which the eager loop has yet to run.
+        for gap in (0.02, 1.0):
+            yield env.timeout(gap)
+            levels.append((env.now, throttle.level))
+
+    def consumer():
+        for chunk in (2 * MB, 1 * MB):
+            yield from throttle.acquire(chunk)
+            grants.append((env.now, chunk))
+
+    env.process(controller())
+    env.process(consumer())
+    env.run(until=5.0)
+    return {
+        "grants": grants,
+        "levels": levels,
+        "queued": len(throttle._bucket._getters),
+        "stats": (
+            throttle.stats.bytes_granted,
+            throttle.stats.grants,
+            throttle.stats.rate_changes,
+            throttle.stats.rate_seconds,
+        ),
+    }
+
+
+def _resume_later(rate):
+    def pause(throttle):
+        throttle.set_rate(0.0)
+        throttle.env.process(_set_rate_after(throttle, 0.5, rate))
+
+    return pause
+
+
+def _set_rate_after(throttle, delay, rate):
+    yield throttle.env.timeout(delay)
+    throttle.set_rate(rate)
+
+
+PENDING_ACTIONS = {
+    "slower-before-the-wakeup": (lambda throttle: throttle.set_rate(2 * MB), 1),
+    "slower-at-the-wakeup": (lambda throttle: throttle.set_rate(2 * MB), 3),
+    "faster-at-the-wakeup": (lambda throttle: throttle.set_rate(40 * MB), 3),
+    "same-rate-at-the-wakeup": (lambda throttle: throttle.set_rate(10 * MB), 3),
+    "pause-then-resume": (_resume_later(10 * MB), 1),
+    "pause-at-the-wakeup": (_resume_later(4 * MB), 3),
+    "stop-before-the-wakeup": (lambda throttle: throttle.stop(), 1),
+    "stop-at-the-wakeup": (lambda throttle: throttle.stop(), 3),
+}
+
+
+class TestPendingWakeup:
+    """A rate change, a pause or a stop while a grant wake-up is armed.
+
+    The wake-up armed for the old rate goes stale (it fires and does
+    nothing) and one for the new state is armed in its place; the
+    trajectory must be the eager loop's.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PENDING_ACTIONS))
+    def test_matches_the_eager_loop(self, name):
+        action, at_tick = PENDING_ACTIONS[name]
+        eager = _pending_wakeup_scenario(EagerThrottle, action, at_tick)
+        lazy = _pending_wakeup_scenario(Throttle, action, at_tick)
+        assert lazy == eager
+        if name.startswith("stop"):
+            assert lazy["queued"] == 1
+        else:
+            assert [chunk for _, chunk in lazy["grants"]] == [2 * MB, 1 * MB]
+
+    def test_stale_wakeup_fires_as_a_no_op(self):
+        env = Environment()
+        throttle = Throttle(env, rate=10 * MB)
+        wakes = []
+        original = throttle._wake
+
+        def recording(wakeup):
+            wakes.append((env.now, wakeup is throttle._wakeup))
+            original(wakeup)
+
+        throttle._wake = recording
+
+        def consumer():
+            yield from throttle.acquire(1 * MB)
+
+        def controller():
+            yield env.timeout(0.06)
+            throttle.set_rate(5 * MB)
+
+        tick = PeriodicTicker(env, throttle.tick)
+        env.process(consumer())
+        env.process(controller())
+        env.run()
+        # Armed for 0.1 at 10 MB/s, re-armed for 0.15 at 5 MB/s: the
+        # first fires stale, the second grants.
+        assert wakes == [(tick.peek(1), False), (tick.peek(2), True)]
+        assert throttle._wakeup is None
+
+
+class TestQueuedBehindTheHead:
+    def test_only_the_head_arms_a_wakeup(self):
+        """Requests queued behind a blocked head wait on the head's
+        wake-up: every wake-up fires current, and the grants are the
+        eager loop's."""
+        trajectories = []
+        for throttle_cls in (EagerThrottle, Throttle):
+            env = Environment()
+            throttle = throttle_cls(env, rate=10 * MB)
+            wakes = []
+            original = throttle._wake
+
+            def recording(wakeup, throttle=throttle, original=original, wakes=wakes):
+                wakes.append(wakeup is throttle._wakeup)
+                original(wakeup)
+
+            throttle._wake = recording
+            grants = []
+
+            def consumer(name, chunks, throttle=throttle, env=env, grants=grants):
+                for chunk in chunks:
+                    yield from throttle.acquire(chunk)
+                    grants.append((env.now, name, chunk))
+
+            done = env.all_of(
+                [
+                    env.process(consumer("a", (1 * MB, 0.5 * MB, 2 * MB))),
+                    env.process(consumer("b", (0.25 * MB, 3 * MB))),
+                    env.process(consumer("c", (2 * MB,))),
+                ]
+            )
+            env.run(until=done)
+            trajectories.append(grants)
+            if throttle_cls is Throttle:
+                assert wakes and all(wakes)
+        assert trajectories[0] == trajectories[1]
+
+
+class TestThrottledSnapshotStartsNoProcess:
+    def test_no_throttle_process_in_a_throttled_migration(self, monkeypatch):
+        from repro.core.config import CASE_STUDY
+        from repro.experiments.common import scaled_config
+        from repro.experiments.harness import MigrationSpec
+        from repro.parallel.tasks import single_tenant_point
+        from repro.resources.units import mb_per_sec
+        from repro.simulation import core
+
+        started = []
+        original_init = core.Process.__init__
+
+        def recording_init(self, env, generator):
+            started.append(generator.gi_code.co_filename.replace("\\", "/"))
+            original_init(self, env, generator)
+
+        wakes = []
+        original_wake = Throttle._wake
+
+        def recording_wake(self, wakeup):
+            wakes.append(wakeup)
+            original_wake(self, wakeup)
+
+        monkeypatch.setattr(core.Process, "__init__", recording_init)
+        monkeypatch.setattr(Throttle, "_wake", recording_wake)
+        config = scaled_config(CASE_STUDY, 0.06, None)
+        single_tenant_point(
+            config, MigrationSpec.fixed(mb_per_sec(8)), warmup=2.0, cooldown=1.0
+        )
+        assert any(path.endswith("/migration/fluid.py") for path in started)
+        assert len(wakes) > 10
+        assert not [path for path in started if path.endswith("/migration/throttle.py")]
+
+
 def _crawl_scenario(throttle_cls):
     """A stream whose grants lie several walk caps out.
 

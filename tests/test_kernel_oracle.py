@@ -7,25 +7,31 @@ otherwise the caller waits on a request that fires at grant + service.
 A call that queued is started inside the ``release`` that hands it the
 unit.  ``tests/reference_kernel.py`` keeps the same behaviour in its
 plainest form: ``HeapEnvironment`` never continues anything in place,
-its ``Resource`` always queues, and its CPU, disk and NIC are always
-generators.  Three layers of evidence:
+its ``Resource`` always queues, its CPU, disk and NIC are always
+generators, and its ``Store`` and ``Container`` queue every get.  A get
+on a queue or bucket follows the same rule as a service: met at once
+with nothing else due at ``now``, it continues in place.  Three layers
+of evidence:
 
 * random-script properties (:class:`TestScriptReplay`) run on the
   fast kernel and services, on the generator services on the fast
   kernel, and on the generator services on ``HeapEnvironment``.  The
   scripts mix direct grants on a pool of 1-3 units, CPU bursts, disk
   I/O (sequential, random and cached, on two streams), NIC transfers,
+  puts and gets on a shared queue and a shared bucket,
   fault-injector stalls on the disk arm and the wire, plain and
   absolute timeouts, multi-call transactions, interrupts while a call
   is queued or in service, a process started or a zero-delay event
   queued just before a call, an event dispatched to several callbacks,
   bandwidth collapsing while calls are queued, services started from
-  the top level, and ``run(until=t)`` stops; two narrower mixes spend
-  every example on grants and on the link's propagation.  Logs, device
+  the top level, and ``run(until=t)`` stops; three narrower mixes spend
+  every example on grants, on the link's propagation and on the queue
+  and the bucket.  Logs, device
   statistics and ``processed_events + inline_grants + inline_holds``
   must match;
 * direct cases, one per guard on running in place
-  (:class:`TestServeGuards`, :class:`TestPropagationGuards`), per
+  (:class:`TestServeGuards`, :class:`TestPropagationGuards`,
+  :class:`TestGetGuards`), per
   service outcome (:class:`TestServices`),
   per tie where the grant-time start shows (:class:`TestGrantTimeStart`)
   and per calendar-queue ordering rule (:class:`TestKernelOrdering`);
@@ -81,21 +87,41 @@ from repro.simulation import (
     Environment,
     Interrupt,
     RandomStreams,
+    Container,
     Request,
     Resource,
+    Store,
     Trace,
 )
 from repro.workload.client import BenchmarkClient, ClosedBenchmarkClient
 
 from test_client import make_factory
 
-#: (environment, pool, cpu, disk, link): the fast kernel and services,
-#: the generator services on the fast kernel, and the generator
-#: services on the kernel that never continues in place.
+#: (environment, pool, cpu, disk, link, queue, bucket): the fast kernel,
+#: services, queue and bucket; the generator services and the queue and
+#: bucket that queue every get, on the fast kernel; and the generator
+#: services with the fast queue and bucket on the kernel that never
+#: continues in place.
 SIDES = (
-    (Environment, Resource, Cpu, Disk, NetworkLink),
-    (Environment, reference_kernel.Resource, GeneratorCpu, GeneratorDisk, GeneratorNetworkLink),
-    (HeapEnvironment, reference_kernel.Resource, GeneratorCpu, GeneratorDisk, GeneratorNetworkLink),
+    (Environment, Resource, Cpu, Disk, NetworkLink, Store, Container),
+    (
+        Environment,
+        reference_kernel.Resource,
+        GeneratorCpu,
+        GeneratorDisk,
+        GeneratorNetworkLink,
+        reference_kernel.Store,
+        reference_kernel.Container,
+    ),
+    (
+        HeapEnvironment,
+        reference_kernel.Resource,
+        GeneratorCpu,
+        GeneratorDisk,
+        GeneratorNetworkLink,
+        Store,
+        Container,
+    ),
 )
 
 MODES = ("plain", "victim", "spawn", "marker", "shared", "collapse")
@@ -122,11 +148,19 @@ clock_call = st.one_of(
     st.tuples(st.just("wait"), size_strategy),
     st.tuples(st.just("until"), st.sampled_from(BEACONS)),
 )
+#: Bucket amounts; the bucket holds at most 2.0 and starts at 1.0.
+AMOUNTS = (0.25, 0.5, 1.0, 1.5)
+#: Puts and gets: one item on the queue, or an amount on the bucket.
+queue_call = st.one_of(
+    st.tuples(st.sampled_from(("put", "get")), st.just(0.0), st.just("queue")),
+    st.tuples(st.sampled_from(("put", "get")), st.sampled_from(AMOUNTS), st.just("bucket")),
+)
 call_strategy = st.one_of(
     device_call,
     grant_call,
     st.tuples(st.just("stall"), size_strategy, st.sampled_from(("disk", "nic"))),
     clock_call,
+    queue_call,
 )
 
 
@@ -148,9 +182,12 @@ stops_strategy = st.lists(
 
 def _replay(side, capacity, stochastic, seed, actors, top, stops):
     """Run one script in stages; return what an observer could see."""
-    env_cls, pool_cls, cpu_cls, disk_cls, link_cls = side
+    env_cls, pool_cls, cpu_cls, disk_cls, link_cls, queue_cls, bucket_cls = side
     env = env_cls()
     pool = pool_cls(env, capacity=capacity)
+    queue = queue_cls(env)
+    # Half full: a large get queues at once, a smaller one would fit.
+    bucket = bucket_cls(env, capacity=2.0, init=1.0)
     cpu = cpu_cls(
         env, CpuParams(cores=capacity, stochastic=stochastic), rng=random.Random(seed)
     )
@@ -187,6 +224,16 @@ def _replay(side, capacity, stochastic, seed, actors, top, stops):
     def pause(event):
         yield event
 
+    def take(name, event):
+        log.append((name, "took", (yield event), env.now))
+
+    def give(call):
+        if call[2] == "queue":
+            queue.put(len(log))
+        else:
+            bucket.put(call[1])
+        yield from ()
+
     def grant(name, size, priority):
         done = pool.serve(priority, granted, (name, size))
         if done.__class__ is Request:
@@ -211,6 +258,10 @@ def _replay(side, capacity, stochastic, seed, actors, top, stops):
             return pause(env.timeout(size))
         if kind == "until":
             return pause(env.timeout_at(max(env.now, size)))
+        if kind == "put":
+            return give(call)
+        if kind == "get":
+            return take(name, queue.get() if call[2] == "queue" else bucket.get(size))
         nbytes = int(size * 4)
         disk_kind = call[2]
         sequential = disk_kind != "random"
@@ -293,6 +344,7 @@ def _replay(side, capacity, stochastic, seed, actors, top, stops):
             sorted(disk._seen_streams),
             (pool.count, cpu._cores.count, disk._arm.count, link._wire.count),
             (pool.queue_length, cpu.queue_length, disk.queue_length, link.queue_length),
+            (list(queue.items), len(queue._getters), bucket.level, len(bucket._getters)),
         )
 
     # Top-level calls: no process is active, so each is a generator
@@ -331,9 +383,10 @@ def _assert_sides_match(capacity, stochastic, seed, actors, top, stops):
 
 
 class TestScriptReplay:
-    """The whole mix, then two narrower mixes that spend every example
-    on one way of running in place: a grant on the pool, and the link's
-    propagation (a latency of 0.25 s on odd seeds)."""
+    """The whole mix, then three narrower mixes that spend every example
+    on one way of running in place: a grant on the pool, a get on the
+    queue or the bucket, and the link's propagation (a latency of
+    0.25 s on odd seeds)."""
 
     @settings(deadline=None, max_examples=max(400, settings.default.max_examples))
     @given(
@@ -357,6 +410,11 @@ class TestScriptReplay:
     )
     def test_random_grant_scripts_match_the_reference(self, capacity, actors, stops):
         _assert_sides_match(capacity, False, 0, actors, [], stops)
+
+    @settings(deadline=None, max_examples=max(150, settings.default.max_examples))
+    @given(actors=actors_of(st.one_of(queue_call, clock_call)), stops=stops_strategy)
+    def test_random_queue_scripts_match_the_reference(self, actors, stops):
+        _assert_sides_match(1, False, 0, actors, [], stops)
 
     @settings(deadline=None, max_examples=max(150, settings.default.max_examples))
     @given(
@@ -508,6 +566,121 @@ class TestServeGuards:
         env.run()
         assert seen == [0.5, 0.25] and env.now == 1.75
         assert (env.inline_grants, env.inline_holds) == (2, 2)
+
+
+def _got(env, get, prelude=lambda env: None, at=1.0):
+    """In a process at ``at``, run ``prelude(env)``, then yield ``get()``.
+
+    Returns whether the get came back already processed, what the yield
+    gave and the time the process saw then.
+    """
+    seen = []
+
+    def proc():
+        yield env.timeout(at)
+        prelude(env)
+        event = get()
+        seen.append(event.processed)
+        seen.append((yield event))
+        seen.append(env.now)
+
+    env.process(proc())
+    return seen
+
+
+def _stocked(env):
+    """A queue holding one item and a bucket holding 1.0 of its 2.0."""
+    queue = Store(env)
+    queue.put("item")
+    return queue, Container(env, capacity=2.0, init=1.0)
+
+
+class TestGetGuards:
+    """Each guard on meeting a queue or bucket get in place, one at a time."""
+
+    @pytest.mark.parametrize("which", ["queue", "bucket"])
+    def test_lone_get_is_met_in_place(self, which):
+        env = Environment()
+        queue, bucket = _stocked(env)
+        get = queue.get if which == "queue" else lambda: bucket.get(0.75)
+        seen = _got(env, get)
+        env.run()
+        assert seen == [True, "item" if which == "queue" else 0.75, 1.0]
+        assert env.inline_grants == 1
+        # The timeout to t=1 and the process's exit.
+        assert env.processed_events == 3
+
+    @pytest.mark.parametrize("which", ["queue", "bucket"])
+    @pytest.mark.parametrize(
+        "prelude",
+        [lambda env: env.timeout(0.0), lambda env: env.process(_idle(env))],
+        ids=["same-time-event-ahead", "same-time-process-start"],
+    )
+    def test_get_behind_a_same_time_event_waits(self, which, prelude):
+        env = Environment()
+        queue, bucket = _stocked(env)
+        get = queue.get if which == "queue" else lambda: bucket.get(0.75)
+        seen = _got(env, get, prelude)
+        env.run()
+        assert seen[0] is False and seen[2] == 1.0 and env.inline_grants == 0
+
+    def test_empty_queue_waits_for_a_put(self):
+        env = Environment()
+        queue = Store(env)
+        seen = _got(env, queue.get)
+        env.timeout(1.5).callbacks.append(lambda _: queue.put("late"))
+        env.run()
+        assert seen == [False, "late", 1.5] and env.inline_grants == 0
+
+    def test_short_bucket_waits_for_a_put(self):
+        env = Environment()
+        _, bucket = _stocked(env)
+        seen = _got(env, lambda: bucket.get(1.5))
+        env.timeout(1.5).callbacks.append(lambda _: bucket.put(0.5))
+        env.run()
+        assert seen == [False, 1.5, 1.5] and bucket.level == 0.0
+
+    def test_bucket_get_queues_behind_a_waiting_getter(self):
+        """FIFO: a get that fits still waits behind a larger one queued first."""
+        env = Environment()
+        _, bucket = _stocked(env)
+        first = _got(env, lambda: bucket.get(1.5), at=0.5)
+        second = _got(env, lambda: bucket.get(0.25))
+        env.timeout(1.5).callbacks.append(lambda _: bucket.put(1.0))
+        env.run()
+        assert first == [False, 1.5, 1.5] and second == [False, 0.25, 1.5]
+        assert bucket.level == 0.25 and env.inline_grants == 0
+
+    def test_get_outside_a_process_is_scheduled(self):
+        env = Environment()
+        queue, bucket = _stocked(env)
+        events = [queue.get(), bucket.get(0.5)]
+        assert [event.processed for event in events] == [False, False]
+        env.run()
+        assert [event.value for event in events] == ["item", 0.5]
+
+    def test_heap_kernel_never_meets_a_get_in_place(self):
+        env = HeapEnvironment()
+        queue, _ = _stocked(env)
+        seen = _got(env, queue.get)
+        env.run()
+        assert seen == [False, "item", 1.0] and env.inline_grants == 0
+
+    def test_second_get_after_one_in_place_is_in_place(self):
+        env = Environment()
+        queue, bucket = _stocked(env)
+        queue.put("second")
+        seen = []
+
+        def proc():
+            yield env.timeout(1.0)
+            seen.append((yield queue.get()))
+            seen.append((yield queue.get()))
+            seen.append((yield bucket.get(1.0)))
+
+        env.process(proc())
+        env.run()
+        assert seen == ["item", "second", 1.0] and env.inline_grants == 3
 
 
 def _propagated(env, latency, prelude=lambda env: None, at=1.0):

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_paths, load_pyproject_config, run_lint
+from repro.lint import lint_paths, load_pyproject_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 SCRIPTS = REPO_ROOT / "scripts"
-BENCHMARKS = REPO_ROOT / "benchmarks"
 
 
 def test_src_repro_and_scripts_are_lint_clean():
@@ -23,19 +22,13 @@ def test_src_repro_and_scripts_are_lint_clean():
     assert not findings, f"slackerlint findings:\n{rendered}"
 
 
-def test_project_rules_are_clean_over_the_whole_tree():
+def test_project_rules_are_clean_over_the_whole_tree(whole_tree_lint):
     """The cross-module SLK10x family must also hold: no sim process
     reaches a blocking call, the protocol registry and dispatch agree,
     the migration state machine conforms, units do not mix, and every
-    obs name resolves in the registry."""
-    config = load_pyproject_config(REPO_ROOT / "pyproject.toml")
-    run = run_lint(
-        [SRC, SCRIPTS, BENCHMARKS],
-        config=config,
-        root=REPO_ROOT,
-        project=True,
-        collect_unused=True,
-    )
+    obs name resolves in the registry.  (The run is ``conftest``'s
+    ``whole_tree_lint``, shared with the real-tree rule tests.)"""
+    run = whole_tree_lint
     rendered = "\n".join(f.render() for f in run.findings)
     assert not run.findings, f"slackerlint --project findings:\n{rendered}"
     stale = "\n".join(

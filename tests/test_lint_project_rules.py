@@ -30,10 +30,10 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-@pytest.fixture(scope="module")
-def real_tree_findings():
-    """The project rules' findings on the real ``src/repro``, analysed once."""
-    return analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT).findings
+@pytest.fixture
+def real_tree_findings(whole_tree_lint):
+    """The findings on the real tree, from the session's one project lint."""
+    return whole_tree_lint.findings
 
 
 def project_findings(tmp_path, files, rule=None, config=None):
@@ -345,11 +345,8 @@ class TestSLK103StateMachine:
         findings = project_findings(tmp_path, files, rule="SLK103")
         assert any("cannot reach any terminal" in f.message for f in findings)
 
-    def test_real_migration_state_machine_conforms(self):
-        result = analyze_project(
-            [REPO_ROOT / "src" / "repro" / "migration"], root=REPO_ROOT
-        )
-        assert [f for f in result.findings if f.rule == "SLK103"] == []
+    def test_real_migration_state_machine_conforms(self, real_tree_findings):
+        assert [f for f in real_tree_findings if f.rule == "SLK103"] == []
 
 
 class TestSLK104UnitsFlow:

@@ -809,6 +809,48 @@ class TestSLK013UnconsumedService:
         )
         assert "SLK013" not in rule_ids(src)
 
+    def test_negative_get_yielded_in_a_process(self):
+        src = (
+            "def worker(self, pieces, slots):\n"
+            "    txn = yield self._queue.get()\n"
+            "    envelope = yield self.inbox.get()\n"
+            "    size = yield pieces.get()\n"
+            "    yield slots.get(1)\n"
+            "    yield self._bucket.get(size)\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_negative_get_outside_a_process_or_on_other_receivers(self):
+        src = (
+            "def receive(self):\n"
+            "    return self.inbox.get()\n"
+            "def lookup(self, key, registry):\n"
+            "    yield self.env.timeout(0)\n"
+            "    registry.get(key)\n"
+            "    self._stale.get(key, 0)\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_positive_get_stored_then_yielded(self):
+        src = (
+            "def acquire(self, piece):\n"
+            "    get_event = self._bucket.get(piece)\n"
+            "    self._arm()\n"
+            "    yield get_event\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_get_inside_any_of(self):
+        src = (
+            "def receive(env, inbox):\n"
+            "    yield env.any_of([inbox.get(), env.timeout(1.0)])\n"
+        )
+        assert "SLK013" in rule_ids(src)
+
+    def test_positive_get_yielded_from(self):
+        src = "def worker(work_queue):\n    yield from work_queue.get()\n"
+        assert "SLK013" in rule_ids(src)
+
 
 class TestSLK014DigestOwner:
     DRIVER = "src/repro/experiments/fig7_tradeoff.py"
