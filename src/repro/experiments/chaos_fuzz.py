@@ -48,7 +48,6 @@ from typing import Optional
 from ..core.config import CASE_STUDY, ExperimentConfig
 from ..faults import FaultInjector
 from ..faults.invariants import check_invariants, plan_from_kwargs
-from ..middleware.transport import RetryPolicy
 from ..obs import Observability, RunReport
 from ..parallel import SweepPoint, SweepRunner
 from ..placement.budget import SlackBudgetLedger
@@ -249,10 +248,9 @@ def fuzz_point(
 
     ``messages``, ``scheduled`` and ``partitions`` are plain dicts (so
     points pickle), rehydrated into a :class:`FaultPlan` here.  The
-    migration is driven through
-    :class:`WaveExecutor.execute_serial` with a dedicated
-    :class:`SlackBudgetLedger`, so "every reservation released" is
-    part of the checked surface.  ``controller_down``
+    migration is a one-proposal wave of a :class:`WaveExecutor` with a
+    dedicated :class:`SlackBudgetLedger`, so "every reservation
+    released" is part of the checked surface.  ``controller_down``
     models a fail-stop controller outage (leases starve, holders must
     self-fence).  ``break_fencing=True`` disables the self-fence gate
     on every node — the deliberate bug the fuzzer must catch and
@@ -266,9 +264,7 @@ def fuzz_point(
     """
     plan = plan_from_kwargs(messages, tuple(scheduled), tuple(partitions))
     streams = RandomStreams(config.seed)
-    cluster = _build_cluster(
-        config, streams, retry_policy=RetryPolicy(), lease_ttl=lease_ttl
-    )
+    cluster = _build_cluster(config, streams, lease_ttl=lease_ttl)
     env = cluster.env
     trace = Trace()
     injector = FaultInjector(env, plan, streams).attach(cluster)
@@ -313,7 +309,8 @@ def fuzz_point(
 
     def driver():
         yield env.timeout(warmup)
-        yield env.process(executor.execute_serial(proposal))
+        executor.launch_wave([proposal])
+        yield from executor.settle()
 
     proc = env.process(driver())
     env.run(until=env.any_of([proc, env.timeout(run_limit)]))

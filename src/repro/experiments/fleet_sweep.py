@@ -42,7 +42,6 @@ from ..analysis.report import Table, format_ms
 from ..core.config import CASE_STUDY, ExperimentConfig
 from ..faults import FaultInjector, FaultPlan, MessageFaults, ScheduledFault
 from ..middleware.cluster import FleetSpec, SlackerCluster
-from ..middleware.transport import RetryPolicy
 from ..obs import Observability, RunReport
 from ..parallel import SweepPoint, SweepRunner
 from ..placement import LatencyHotspotDetector, PlacementManager
@@ -154,7 +153,8 @@ def fleet_point(
     picks the driver: ``"drain"`` evacuates the first node,
     ``"rebalance"`` runs the autonomous manager loop against the hot
     node.  ``scheduled`` injects faults (dict-tuples as in the chaos
-    fuzzer) on a hardened control plane — the drain-under-crash case.
+    fuzzer) and starts heartbeats and failure detectors — the
+    drain-under-crash case.
     """
     if scenario not in ("drain", "rebalance"):
         raise ValueError(f"scenario must be 'drain' or 'rebalance', got {scenario!r}")
@@ -168,17 +168,11 @@ def fleet_point(
         min_tenant_bytes=min_tenant_mb * MB,
         max_tenant_bytes=max_tenant_mb * MB,
     )
-    hardened = bool(scheduled)
+    faulted = bool(scheduled)
     env = Environment()
-    cluster = SlackerCluster.build_fleet(
-        env,
-        fleet_spec,
-        streams=streams,
-        trace=trace,
-        retry_policy=RetryPolicy() if hardened else None,
-    )
+    cluster = SlackerCluster.build_fleet(env, fleet_spec, streams=streams, trace=trace)
     injector = None
-    if hardened:
+    if faulted:
         plan = FaultPlan(
             messages=MessageFaults(),
             scheduled=tuple(ScheduledFault(**dict(s)) for s in scheduled),
@@ -282,7 +276,7 @@ def fleet_point(
     if scenario == "drain":
         if drain_report is None:
             violations.append("drain did not finish within the run limit")
-        elif not drain_report.drained and not hardened:
+        elif not drain_report.drained and not faulted:
             violations.append(
                 f"fault-free drain left {drain_report.remaining} tenants behind"
             )

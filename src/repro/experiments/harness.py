@@ -250,7 +250,6 @@ def _make_chooser(kind: str, num_rows: int, rng):
 def _build_cluster(
     config: ExperimentConfig,
     streams: RandomStreams,
-    retry_policy=None,
     lease_ttl=None,
 ) -> SlackerCluster:
     env = Environment()
@@ -266,7 +265,6 @@ def _build_cluster(
         server_params=config.server,
         node_config=node_config,
         streams=streams,
-        retry_policy=retry_policy,
         lease_ttl=lease_ttl,
     )
 

@@ -735,7 +735,7 @@ class PlacementLaunchPath(ProjectRule):
                     node.col_offset,
                     f"`.{node.func.attr}(...)` bypasses the wave executor's "
                     "slack-budget admission — launch placement migrations "
-                    "through WaveExecutor (launch_wave/execute_serial) so "
+                    "through WaveExecutor.launch_wave so "
                     "per-node budgets stay enforced",
                 )
         return self.findings

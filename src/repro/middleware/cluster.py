@@ -5,10 +5,11 @@ servers each running a Slacker migration controller, connected
 peer-to-peer, plus the lightweight frontend.  Experiments and examples
 build a :class:`SlackerCluster` and talk to its nodes.
 
-Pass ``retry_policy`` to run the control plane in hardened mode
-(per-message timeouts, bounded retries, deterministic jittered
-backoff); leave it ``None`` for the fault-free legacy bus, which is
-event-for-event identical to the pre-fault-injection transport.
+The nodes share one :class:`~repro.middleware.transport.MessageBus`
+under the default :class:`~repro.middleware.transport.RetryPolicy`:
+per-message timeouts, bounded retries and backoff jitter drawn from
+the cluster's ``transport:jitter`` stream.  Pass ``lease_ttl`` to
+fence migrations with ownership leases.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..resources.units import MB
 from ..simulation import Environment, RandomStreams, Trace
 from .frontend import Frontend
 from .node import NodeConfig, SlackerNode
-from .transport import MessageBus, RetryPolicy
+from .transport import MessageBus
 
 __all__ = ["FleetSpec", "SlackerCluster"]
 
@@ -87,7 +88,6 @@ class SlackerCluster:
         node_config: Optional[NodeConfig] = None,
         streams: Optional[RandomStreams] = None,
         trace: Optional[Trace] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         lease_ttl: Optional[float] = None,
     ):
         if not node_names:
@@ -105,15 +105,11 @@ class SlackerCluster:
             name: Server(env, name, params=server_params, streams=self.streams)
             for name in node_names
         }
-        if retry_policy is not None:
-            self.bus = MessageBus(
-                env,
-                nics=self.servers,
-                retry_policy=retry_policy,
-                jitter_rng=self.streams.stream("transport:jitter"),
-            )
-        else:
-            self.bus = MessageBus(env, nics=self.servers)
+        self.bus = MessageBus(
+            env,
+            nics=self.servers,
+            jitter_rng=self.streams.stream("transport:jitter"),
+        )
         self.frontend = Frontend(env, self.bus)
         self.nodes: dict[str, SlackerNode] = {
             name: SlackerNode(
@@ -156,7 +152,6 @@ class SlackerCluster:
         node_config: Optional[NodeConfig] = None,
         streams: Optional[RandomStreams] = None,
         trace: Optional[Trace] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         lease_ttl: Optional[float] = None,
     ) -> "SlackerCluster":
         """Instantiate a whole fleet from a seeded :class:`FleetSpec`.
@@ -174,7 +169,6 @@ class SlackerCluster:
             node_config=node_config,
             streams=streams,
             trace=trace,
-            retry_policy=retry_policy,
             lease_ttl=lease_ttl,
         )
         names = spec.node_names()

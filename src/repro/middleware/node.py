@@ -23,18 +23,19 @@ The control plane is hardened against an unreliable bus (see
 * every handler is **idempotent** — duplicate or late control messages
   (the natural consequence of at-least-once delivery under retries)
   are detected and ignored;
-* outgoing migrations are bounded: the accept round-trip races a
-  timeout (when the bus carries a retry policy), and undeliverable
-  requests abort the migration with the tenant rolled back to plain
-  ``ACTIVE`` at the source;
+* outgoing migrations are bounded: the request rides the bus's retry
+  policy, the accept round-trip races ``accept_timeout``, and an
+  undeliverable request or a missing accept aborts the migration with
+  the tenant rolled back to plain ``ACTIVE`` at the source;
 * a node can ``crash()`` (fail-stop of the middleware daemon: its
   messages vanish, heartbeats stop, outgoing migrations abort; tenant
   mysqld daemons keep serving — they are separate processes) and later
   ``restart()``;
-* a **failure detector** declares peers dead after a configurable
-  number of missed heartbeats and cancels in-flight migrations whose
-  target is the dead peer (Zephyr semantics: the tenant stays at the
-  source).
+* a **failure detector** suspects a peer after a configurable number
+  of missed heartbeats, declares it dead once the silence also
+  outlasts ``suspect_grace`` (at once when the grace is zero), and
+  cancels in-flight migrations whose target is the dead peer (Zephyr
+  semantics: the tenant stays at the source).
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ class NodeConfig:
     #: paper's behaviour: bursts may pause migration entirely).
     min_output_pct: float = 0.0
     #: How long to wait for a MigrateTenantAccept before aborting,
-    #: seconds (only enforced when the bus carries a retry policy — a
-    #: fault-free bus answers deterministically).
+    #: seconds.  A fault-free bus answers well inside it.
     accept_timeout: float = 5.0
 
     def __post_init__(self) -> None:
@@ -424,22 +424,16 @@ class SlackerNode:
             yield self.env.process(self.endpoint.send(target, request))
         except DeliveryError as exc:
             self._abandon_request(tenant, f"migrate request undeliverable: {exc}")
-        if self.bus.retry_policy is None:
-            # Fault-free bus: the accept is deterministic, no timeout
-            # needed (and no extra events on the legacy fast path).
-            yield accept_event
-        else:
-            deadline = self.env.timeout(self.config.accept_timeout)
-            yield self.env.any_of([accept_event, deadline])
-            if not accept_event.triggered:
-                self._abandon_request(
-                    tenant,
-                    f"no accept from {target} within {self.config.accept_timeout}s",
-                )
+        deadline = self.env.timeout(self.config.accept_timeout)
+        yield self.env.any_of([accept_event, deadline])
+        if not accept_event.triggered:
+            self._abandon_request(
+                tenant,
+                f"no accept from {target} within {self.config.accept_timeout}s",
+            )
         accept = accept_event.value
         if accept is not None and not accept.ok:
-            # The target refused — on the legacy path accepts are
-            # always ok=True, so this only fires under fencing.
+            # The target refused: only a stale fencing token does that.
             self._abandon_request(
                 tenant, f"{target} refused migrate request (stale fencing token)"
             )
@@ -845,9 +839,9 @@ class SlackerNode:
         suspected (``suspected_peers``; no migrations cancelled) until
         the silence also exceeds ``horizon + suspect_grace`` — so one
         one-way partition window doesn't instantly kill migrations
-        that would have survived it.  The default ``0.0`` runs the
-        original two-state detector on an unchanged event path
-        (bit-identity locked by tests).
+        that would have survived it.  With the default ``0.0`` no peer
+        is ever suspected: a silence past the horizon declares it dead
+        at once.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -904,36 +898,23 @@ class SlackerNode:
                 yield self._parked_until_restart()
                 ticker.skip_until(self.env.now)
                 continue
-            if suspect_grace > 0.0:
-                for peer in peer_names:
-                    silent = self.env.now - self._peer_last_seen.get(peer, 0.0)
-                    if silent > horizon + suspect_grace:
-                        self.suspected_peers.discard(peer)
-                        if peer not in self.dead_peers:
-                            self.dead_peers.add(peer)
-                            self.stats.peers_declared_dead += 1
-                            self._cancel_migrations_to(peer)
-                    elif silent > horizon:
-                        if (
-                            peer not in self.suspected_peers
-                            and peer not in self.dead_peers
-                        ):
-                            self.suspected_peers.add(peer)
-                            self.stats.peers_suspected += 1
-                    else:
-                        self.suspected_peers.discard(peer)
-                        self.dead_peers.discard(peer)
-                continue
-            # Legacy two-state scan, byte-for-byte the original
-            # comparisons (the flag-off path is bit-identity locked).
+            # With no grace, ``horizon + suspect_grace`` is ``horizon``
+            # and the suspect branch never runs: a peer goes straight
+            # from alive to dead.
             for peer in peer_names:
                 silent = self.env.now - self._peer_last_seen.get(peer, 0.0)
-                if silent > horizon:
+                if silent > horizon + suspect_grace:
+                    self.suspected_peers.discard(peer)
                     if peer not in self.dead_peers:
                         self.dead_peers.add(peer)
                         self.stats.peers_declared_dead += 1
                         self._cancel_migrations_to(peer)
+                elif silent > horizon:
+                    if peer not in self.suspected_peers and peer not in self.dead_peers:
+                        self.suspected_peers.add(peer)
+                        self.stats.peers_suspected += 1
                 else:
+                    self.suspected_peers.discard(peer)
                     self.dead_peers.discard(peer)
 
     def _cancel_migrations_to(self, peer: str) -> None:

@@ -6,27 +6,25 @@ receiving NICs, and delivered into the destination node's inbox, so
 the control plane exercises genuine encode/decode on every hop even
 though no sockets exist in the simulation.
 
-Fault injection and delivery guarantees
+Delivery guarantees and fault injection
 ---------------------------------------
 
-The bus carries two optional hooks, both ``None`` by default so the
-fault-free fast path is byte-for-byte identical to a bus without them:
+Every send follows the bus's :class:`RetryPolicy` (by default
+``RetryPolicy()``): :meth:`Endpoint.send` races each delivery against
+a per-attempt timeout and retries with exponential backoff plus
+deterministic jitter (drawn from ``jitter_rng``, a seeded stream —
+never the global ``random`` module).  A timed-out attempt's in-flight
+delivery keeps running, so late deliveries surface as natural
+duplicates — exactly the at-least-once behaviour receivers must be
+idempotent against.  On a fault-free run the first attempt lands
+inside its timeout, so no send retries (``tests/test_event_budget.py``
+checks this on its fault-free points).
 
-* ``faults`` — a :class:`~repro.faults.injector.FaultInjector` (duck
-  typed: anything with ``is_down(name)`` and ``message_fate(sender,
-  recipient)``).  When set, messages may be dropped, delayed,
-  duplicated, or reordered, and messages to/from crashed nodes vanish.
-* ``retry_policy`` — a :class:`RetryPolicy`.  When set,
-  :meth:`Endpoint.send` races each delivery against a per-message
-  timeout and retries with exponential backoff plus deterministic
-  jitter (drawn from ``jitter_rng``, a seeded stream — never the
-  global ``random`` module).  A timed-out attempt's in-flight delivery
-  keeps running, so late deliveries surface as natural duplicates —
-  exactly the at-least-once behaviour receivers must be idempotent
-  against.
-
-Without a policy, a dropped message raises :class:`DeliveryError`
-immediately (at-most-once, fail-fast).
+``faults`` is an optional :class:`~repro.faults.injector.FaultInjector`
+(duck typed: anything with ``is_down(name)`` and ``message_fate(sender,
+recipient)``), ``None`` by default.  When set, messages may be
+dropped, delayed, duplicated, or reordered, and messages to/from
+crashed nodes vanish.
 """
 
 from __future__ import annotations
@@ -136,8 +134,8 @@ class Endpoint:
         self.sent = 0
         #: Sends that reached the recipient's inbox at least once.
         self.delivered = 0
-        #: Sends that gave up (dropped without a policy, or retries
-        #: exhausted under one) with no attempt known to have landed.
+        #: Sends that gave up (retries exhausted) with no attempt
+        #: known to have landed.
         self.failed = 0
         #: Sends that gave up but whose payload *may* have been
         #: delivered — every acknowledgement was lost (one-way
@@ -154,29 +152,13 @@ class Endpoint:
         """Process: serialize and deliver ``message`` to ``recipient``.
 
         Raises :class:`DeliveryError` when the message cannot be
-        delivered (after bounded retries when the bus carries a
-        :class:`RetryPolicy`).
+        delivered within the bus's :class:`RetryPolicy`.
         """
         self.sent += 1
         obs = self.bus.obs
         if obs is not None:
             obs.transport_sends.inc()
         policy = self.bus.retry_policy
-        if policy is None:
-            # Fast path: byte-identical to the historical behaviour —
-            # no extra events, single attempt, fail fast on a drop.
-            delivered = yield from self.bus.deliver(self.name, recipient, message)
-            if not delivered:
-                self.failed += 1
-                self.bus.send_failures += 1
-                if obs is not None:
-                    obs.transport_failures.inc()
-                raise DeliveryError(self.name, recipient, "message dropped")
-            self.delivered += 1
-            if obs is not None:
-                obs.transport_delivered.inc()
-            return True
-
         env = self.bus.env
         unacked = False
         for attempt in range(policy.max_attempts):
@@ -250,7 +232,7 @@ class MessageBus:
         self,
         env: Environment,
         nics: Optional[dict] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
         jitter_rng: Optional[random.Random] = None,
     ):
         self.env = env
@@ -263,7 +245,7 @@ class MessageBus:
         #: Optional :class:`~repro.obs.Observability`; ``None`` keeps
         #: the send/deliver paths free of metric updates.
         self.obs = None
-        #: Optional delivery policy for :meth:`Endpoint.send`.
+        #: Delivery policy for :meth:`Endpoint.send`.
         self.retry_policy = retry_policy
         #: Seeded RNG for backoff jitter (from ``RandomStreams``).
         self.jitter_rng = jitter_rng
@@ -396,15 +378,10 @@ class MessageBus:
             target.inbox.put(envelope)
             target.received += 1
             self.messages_duplicated += 1
-        if (
-            self.retry_policy is not None
-            and link_blocked is not None
-            and link_blocked(recipient, sender)
-        ):
+        if link_blocked is not None and link_blocked(recipient, sender):
             # Delivered, but the reply/ack link back to the sender is
             # cut: report one-way silence so Endpoint.send accounts
-            # this as interrupted, not delivered.  Only modelled under
-            # a retry policy — the fail-fast path has no ack concept.
+            # this as interrupted, not delivered.
             self.acks_lost += 1
             return _UNACKED
         return True

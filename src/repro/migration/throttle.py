@@ -106,7 +106,14 @@ class Throttle:
 
     @property
     def level(self) -> float:
-        """Unused credit currently in the bucket, bytes."""
+        """Unused credit currently in the bucket, bytes.
+
+        A read at a refill tick's instant counts that tick as already
+        deposited, at the rate in force when it is read.  That is the
+        eager per-tick loop's level once the loop's refill for that
+        instant has run; a reader ordered ahead of that refill would see
+        one deposit less.
+        """
         self._settle(inclusive=True)
         return self._bucket.level
 

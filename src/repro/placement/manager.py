@@ -7,12 +7,11 @@ turns the snapshot into a wave of non-conflicting proposals, and the
 :class:`~repro.placement.executor.WaveExecutor` admits up to
 ``max_concurrent`` of them under the per-node slack-budget ledger.
 
-With ``max_concurrent=1`` (the default) the manager takes the
-serialized path and is bit-identical to the pre-wave implementation:
-one inline migration at a time, detector streaks frozen during
-cooldown, full setpoint.  At fleet scale, raise ``max_concurrent`` and
-``max_streams_per_node`` and use :meth:`drain`/:meth:`rebalance` —
-see docs/FLEET.md.
+Every ``max_concurrent`` takes the same path.  At the default of 1 a
+wave holds at most one migration, at the full setpoint, and its two
+nodes rest for ``cooldown`` afterwards.  At fleet scale, raise
+``max_concurrent`` and ``max_streams_per_node`` and use
+:meth:`drain`/:meth:`rebalance` — see docs/FLEET.md.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..middleware.cluster import SlackerCluster
-from ..simulation import Trace
+from ..simulation import PeriodicTicker, Trace
 from .budget import SlackBudgetLedger
 from .decisions import DrainReport, PlacementDecision, PlacementStats
 from .executor import WaveExecutor, WavePlanner
@@ -41,7 +40,13 @@ __all__ = [
 
 
 class PlacementManager:
-    """Periodically detects hotspots and migrates tenants to fix them."""
+    """Periodically detects hotspots and migrates tenants to fix them.
+
+    Each :meth:`step` takes one load snapshot, plans a wave around the
+    tenants already moving and the nodes that are resting or out of
+    budget, and launches what the executor admits.  Migrations run in
+    the background, so snapshots continue while they do.
+    """
 
     def __init__(
         self,
@@ -69,7 +74,6 @@ class PlacementManager:
         )
         self.chooser = chooser or GreedyReliefChooser()
         self.cooldown = cooldown
-        self.max_concurrent = max_concurrent
         self.stats = PlacementStats()
         self.planner = WavePlanner(self.detector, self.chooser)
         self.executor = WaveExecutor(
@@ -91,27 +95,15 @@ class PlacementManager:
         """The executor's slack-budget ledger (for audits and tests)."""
         return self.executor.ledger
 
-    def step(self):
-        """Process: one monitor snapshot + at most one wave.
+    def step(self) -> None:
+        """One monitor snapshot and at most one budget-bounded wave.
 
-        Serialized mode (``max_concurrent=1``) reproduces the legacy
-        loop exactly: no detection while migrating or cooling down
-        (streaks stay frozen), first viable proposal only, executed
-        inline.  Wave mode keeps snapshotting while migrations run in
-        the background and launches a budget-bounded wave per snapshot.
+        Returns at once: the wave's migrations run as their own
+        processes.
         """
         env = self.cluster.env
         loads = self.monitor.snapshot()
         self.stats.snapshots += 1
-        if self.max_concurrent == 1:
-            if self.executor.active_count or env.now < self.executor.cooldown_until:
-                return
-            wave = self.planner.plan(
-                loads, excluded_targets=self._draining, max_proposals=1
-            )
-            if wave:
-                yield from self.executor.execute_serial(wave[0])
-            return
         excluded = self._draining | set(self.monitor.dead_nodes(loads))
         wave = self.planner.plan(
             loads,
@@ -122,18 +114,15 @@ class PlacementManager:
         self.executor.launch_wave(wave)
 
     def run(self):
-        """Process: the rebalancing loop, forever.
+        """Process: the rebalancing loop, forever, one :meth:`step` per tick.
 
-        Not a fixed tick grid: the interval is measured from *step
-        completion*, and a serial-mode step runs a whole migration
-        inline, consuming simulated time.  A PeriodicTicker grid would
-        change when snapshots happen, so the eager timeout is the
-        correct form here.
+        A step takes no simulated time, so the ticks fall on a fixed
+        grid of ``interval`` from the start.
         """
-        env = self.cluster.env
+        ticker = PeriodicTicker(self.cluster.env, self.monitor.interval)
         while True:
-            yield env.timeout(self.monitor.interval)  # slackerlint: disable=SLK011
-            yield from self.step()
+            yield ticker.tick()
+            self.step()
 
     # -- fleet verbs -----------------------------------------------------
 

@@ -303,6 +303,48 @@ class TestPendingWakeup:
         assert throttle._wakeup is None
 
 
+def _level_read_on_a_tick(throttle_cls, after_the_refill):
+    """Set 2 MB/s on the 0.1 s refill tick, then read ``level``.
+
+    A 2 MB request is blocked, so credit builds up in the bucket.  The
+    rate setter's timeout was scheduled before the eager loop's tick at
+    0.1 s, so it runs ahead of that refill; ``after_the_refill`` reads
+    after a zero timeout instead, behind it.
+    """
+    env = Environment()
+    throttle = throttle_cls(env, rate=10 * MB)
+    readings = []
+
+    def consumer():
+        yield from throttle.acquire(2 * MB)
+
+    def controller():
+        yield env.timeout_at(PeriodicTicker(env, throttle.tick).peek(1))
+        throttle.set_rate(2 * MB)
+        if after_the_refill:
+            yield env.timeout(0)
+        readings.append((env.now, throttle.level))
+
+    env.process(consumer())
+    env.process(controller())
+    env.run(until=0.12)
+    return readings
+
+
+class TestLevelOnATick:
+    def test_a_read_on_a_tick_counts_that_tick_at_the_new_rate(self):
+        lazy = _level_read_on_a_tick(Throttle, after_the_refill=False)
+        # 0.05 s at 10 MB/s, then the 0.1 s tick at 2 MB/s.
+        assert lazy == [(0.1, 0.5 * MB + 0.1 * MB)]
+        # The eager loop agrees once its refill for 0.1 s has run ...
+        assert _level_read_on_a_tick(EagerThrottle, after_the_refill=True) == lazy
+        assert _level_read_on_a_tick(Throttle, after_the_refill=True) == lazy
+        # ... while a read ordered ahead of that refill sees one deposit less.
+        assert _level_read_on_a_tick(EagerThrottle, after_the_refill=False) == [
+            (0.1, 0.5 * MB)
+        ]
+
+
 class TestQueuedBehindTheHead:
     def test_only_the_head_arms_a_wakeup(self):
         """Requests queued behind a blocked head wait on the head's

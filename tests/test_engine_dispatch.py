@@ -13,7 +13,6 @@ from repro.db.engine import EngineState
 from repro.middleware.cluster import SlackerCluster
 from repro.middleware.node import MIGRATION_METHODS
 from repro.middleware.tenant import TenantStatus
-from repro.middleware.transport import RetryPolicy
 from repro.migration import MigrationAborted, MigrationPhase
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams, Trace
@@ -40,7 +39,6 @@ def _cluster():
         env,
         ["a", "b"],
         streams=RandomStreams(11),
-        retry_policy=RetryPolicy(),
         lease_ttl=2.0,
     )
     tenant = cluster.node("a").create_tenant(1, 8 * MB, buffer_bytes=2 * MB)

@@ -72,6 +72,44 @@ with the events (fig5 9,828 to 9,326, on-demand 101,072 to 92,972, fluid
 11,062 to 10,540, chaos 46,261 to 45,579, fleet drain 9,406 to 9,287),
 and the resource models' with the in-place services (fig5 7,626 to
 7,602, fluid 7,301 to 7,289, chaos 32,461 to 32,459).
+
+Re-pinned when every bus carried a retry policy, every accept raced
+its timeout and placement ran only waves; every trajectory stayed the
+same.  A send on the fail-fast bus ran its delivery inline; now each
+send costs one delivery process (its start and exit events), one
+deadline timeout and one ``any_of``: four events and 25 kernel calls.
+The accept race costs one timeout and one ``any_of``: two events and 14
+kernel calls.  Building the cluster's jitter stream costs two kernel
+calls (``RandomStreams.stream`` and ``derive_seed``).
+
+* fig5 and on-demand: 3 sends and one accept race, +14 events (965 to
+  979, 8,310 to 8,324) and 3 x 25 + 14 + 2 = 91 kernel calls (9,326 to
+  9,417, 92,972 to 93,063).
+* fluid: 19 sends (16 of them ``ChunkHandover``) and one accept race,
+  +78 events.  One page-in read that used to end before the next event
+  now has a deadline ahead of its end and waits as an event:
+  ``processed_events`` +79 (1,173 to 1,252), ``inline_holds`` -1
+  (1,211 to 1,210).  Kernel calls 19 x 25 + 14 + 2 = 491, plus 3 for
+  that read's event (``_schedule``, ``_resume``, ``release``): 10,540 to
+  11,034.  The same read adds two ``disk._wait`` calls to the resource
+  models (7,289 to 7,291) and one ``_page_in`` resume to the database
+  engine (5,669 to 5,670).
+* chaos: the bus was already hardened.  The proposal now runs in the
+  executor's ``_run_one`` process, which costs what
+  ``execute_serial``'s process did, and ``settle`` adds one ``all_of``:
+  +1 event (5,037 to 5,038) and 10 kernel calls, less one
+  ``Environment.now`` read, +9 (45,579 to 45,588).  Generated
+  ``__init__`` calls fell from 963 to 962: the fuzzer no longer builds a
+  ``RetryPolicy``, the bus's default instance is built once at import.
+* fleet drain: 9 sends and 3 accept races, +42 events, of which the
+  last accept deadline is still pending when the drain returns: +41 in
+  the sum.  Two wire holds no longer end before the next event:
+  ``processed_events`` +43 (605 to 648), ``inline_holds`` -2 (1,959 to
+  1,957).  Kernel calls 9 x 25 + 3 x 14 + 2 = 269, less the pending
+  deadline's ``_check`` and ``triggered``, plus 5 for the two holds as
+  events (``_resume`` and ``timeout`` twice, ``_horizon`` once): 9,287
+  to 9,559.  The resource models gained 4 (``_propagate`` 3, ``_send``
+  1): 7,351 to 7,355.
 """
 
 from __future__ import annotations
@@ -81,12 +119,16 @@ import gc
 import sys
 from collections import Counter
 
+import pytest
+
 from repro.core.config import CASE_STUDY, EVALUATION
 from repro.experiments import harness as harness_mod
 from repro.experiments.chaos_fuzz import fuzz_point
 from repro.experiments.common import scaled_config
 from repro.experiments.fleet_sweep import fleet_point
 from repro.experiments.harness import MigrationSpec
+from repro.middleware import cluster as cluster_mod
+from repro.middleware.transport import MessageBus
 from repro.parallel.tasks import single_tenant_point
 from repro.resources.units import mb_per_sec
 from repro.simulation import Environment
@@ -190,38 +232,58 @@ def _fig5_config():
     return scaled_config(CASE_STUDY, 0.06, None), MigrationSpec.fixed(mb_per_sec(8))
 
 
-def test_fig5_throttle_point():
-    cfg, spec = _fig5_config()
-    counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(9326, 7602, 7136),
-        generated_inits=121,
+#: Built outside the profiled points, which pin only the run's calls.
+FIG5_CONFIG, FIG5_SPEC = _fig5_config()
+ON_DEMAND_SPEC = MigrationSpec.on_demand(mb_per_sec(8))
+FLUID_SPEC = MigrationSpec.fluid(mb_per_sec(8))
+
+
+def _fig5_point(spec=FIG5_SPEC):
+    return single_tenant_point(FIG5_CONFIG, spec, warmup=2.0, cooldown=1.0)
+
+
+def _on_demand_point():
+    return _fig5_point(ON_DEMAND_SPEC)
+
+
+def _fluid_point():
+    return _fig5_point(FLUID_SPEC)
+
+
+def _fleet_drain_point():
+    return fleet_point(
+        scaled_config(EVALUATION, 0.125, 11),
+        MigrationSpec.dynamic(1.0),
+        label="drain",
+        scenario="drain",
+        nodes=4,
+        tenants=12,
+        warmup=10.0,
+        run_limit=400.0,
     )
-    assert counts == (965, 1884, 1283)
+
+
+def test_fig5_throttle_point():
+    counts = _harness_counts(
+        _fig5_point, layer_calls=(9417, 7602, 7136), generated_inits=121
+    )
+    assert counts == (979, 1884, 1283)
 
 
 def test_on_demand_point():
     """Every transaction on the cold target runs ``PartialReplicaEngine._access_page``."""
-    cfg, _ = _fig5_config()
-    spec = MigrationSpec.on_demand(mb_per_sec(8))
     counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(92972, 83436, 43248),
-        generated_inits=405,
+        _on_demand_point, layer_calls=(93063, 83436, 43248), generated_inits=405
     )
-    assert counts == (8310, 21656, 15304)
+    assert counts == (8324, 21656, 15304)
 
 
 def test_fluid_point():
     """Transactions during the migration run through the ``FluidRouter``."""
-    cfg, _ = _fig5_config()
-    spec = MigrationSpec.fluid(mb_per_sec(8))
     counts = _harness_counts(
-        lambda: single_tenant_point(cfg, spec, warmup=2.0, cooldown=1.0),
-        layer_calls=(10540, 7289, 5669),
-        generated_inits=198,
+        _fluid_point, layer_calls=(11034, 7291, 5670), generated_inits=198
     )
-    assert counts == (1173, 1789, 1211)
+    assert counts == (1252, 1789, 1210)
 
 
 def test_chaos_fault_injection_point():
@@ -234,27 +296,47 @@ def test_chaos_fault_injection_point():
             warmup=2.0,
             run_limit=120.0,
         ),
-        layer_calls=(45579, 32459, 30739),
-        generated_inits=963,
+        layer_calls=(45588, 32459, 30739),
+        generated_inits=962,
     )
-    assert counts == (5037, 8254, 6082)
+    assert counts == (5038, 8254, 6082)
 
 
 def test_fleet_drain_point():
     record = _unobserved(
-        lambda: fleet_point(
-            scaled_config(EVALUATION, 0.125, 11),
-            MigrationSpec.dynamic(1.0),
-            label="drain",
-            scenario="drain",
-            nodes=4,
-            tenants=12,
-            warmup=10.0,
-            run_limit=400.0,
-        ),
-        layer_calls=(9287, 7351, 8603),
-        generated_inits=373,
+        _fleet_drain_point, layer_calls=(9559, 7355, 8603), generated_inits=373
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)
-    assert counts == (605, 2146, 1959)
+    assert counts == (648, 2146, 1957)
+
+
+@pytest.mark.parametrize(
+    "point", [_fig5_point, _on_demand_point, _fluid_point, _fleet_drain_point]
+)
+def test_fault_free_point_never_retries(point, monkeypatch):
+    """With no faults attached, no send retries, times out or fails.
+
+    Every send races its delivery against the retry policy's 0.5 s
+    per-attempt timeout.  Under the migration stream's NIC load the
+    first attempt still always lands in time, so on a fault-free run
+    the retry path adds events (see above) and nothing else.
+    """
+    buses = []
+
+    class Recorded(MessageBus):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buses.append(self)
+
+    monkeypatch.setattr(cluster_mod, "MessageBus", Recorded)
+    point()
+    (bus,) = buses
+    assert bus.faults is None
+    assert bus.messages_delivered > 0
+    assert (
+        bus.send_retries,
+        bus.send_timeouts,
+        bus.send_failures,
+        bus.send_interrupted,
+    ) == (0, 0, 0, 0)

@@ -106,12 +106,10 @@ class _FateScript:
         return None
 
 
-def _bare_bus(policy=None):
+def _bare_bus(policy=RetryPolicy()):
     env = Environment()
     bus = MessageBus(
-        env,
-        retry_policy=policy,
-        jitter_rng=RandomStreams(0).stream("jitter") if policy else None,
+        env, retry_policy=policy, jitter_rng=RandomStreams(0).stream("jitter")
     )
     return env, bus, bus.endpoint("a"), bus.endpoint("b")
 
@@ -124,14 +122,15 @@ def _send_catching(env, endpoint, recipient, message, errors):
 
 
 class TestBusFaults:
-    def test_legacy_drop_fails_fast(self):
-        env, bus, a, b = _bare_bus()
+    def test_single_attempt_drop_fails_fast(self):
+        env, bus, a, b = _bare_bus(RetryPolicy(max_attempts=1))
         bus.faults = _FateScript([MessageFate(drop=True)])
         errors = []
         env.process(_send_catching(env, a, "b", BEAT, errors))
         env.run()
-        assert len(errors) == 1
+        assert len(errors) == 1 and "1 attempts" in str(errors[0])
         assert a.sent == 1 and a.failed == 1 and a.delivered == 0
+        assert a.retries == 0 and a.timeouts == 0
         assert bus.messages_dropped == 1 and bus.send_failures == 1
 
     def test_retry_recovers_from_transient_drop(self):
@@ -187,10 +186,12 @@ class TestBusFaults:
         env.process(_send_catching(env, a, "b", BEAT, errors))
         env.run()
         assert len(errors) == 1
-        assert bus.messages_dropped_dead == 1 and b.received == 0
+        # Every attempt vanished: none reached the wire.
+        assert bus.messages_dropped_dead == RetryPolicy().max_attempts
+        assert b.received == 0
 
     def test_send_counts_started_not_just_delivered(self):
-        env, bus, a, b = _bare_bus()
+        env, bus, a, b = _bare_bus(RetryPolicy(max_attempts=1))
         bus.faults = _FateScript([MessageFate(drop=True)])
         errors = []
         env.process(_send_catching(env, a, "b", BEAT, errors))
@@ -212,14 +213,9 @@ class TestBusFaults:
         assert base == sorted(base)  # exponential growth
 
 
-def _cluster(seed=11, policy=True):
+def _cluster(seed=11):
     env = Environment()
-    cluster = SlackerCluster(
-        env,
-        ["a", "b"],
-        streams=RandomStreams(seed),
-        retry_policy=RetryPolicy() if policy else None,
-    )
+    cluster = SlackerCluster(env, ["a", "b"], streams=RandomStreams(seed))
     return env, cluster
 
 

@@ -301,11 +301,11 @@ class TestWaveDrain:
 
 class TestAbortOutcome:
     def test_aborted_migration_records_outcome_and_cooldown(self):
-        """The serialized-path bugfix: aborts are decisions, not holes.
+        """Aborts are decisions, not holes.
 
         Crashing the source mid-flight aborts the in-flight migration;
-        the manager must record ``outcome="aborted"``, count it, apply
-        the cooldown, and keep its control loop alive.
+        the executor must record ``outcome="aborted"``, count it, rest
+        both endpoints for the cooldown, and release the budget.
         """
         slacker = Slacker(TINY, nodes=["src", "dst"])
         slacker.add_tenant(1, node="src")
@@ -316,20 +316,22 @@ class TestAbortOutcome:
         proposal = MigrationProposal(
             tenant_id=1, source="src", target="dst", reason="test abort"
         )
-        env.process(manager.executor.execute_serial(proposal))
+        executor = manager.executor
+        (decision,) = executor.launch_wave([proposal])
         slacker.advance(0.5)  # mid-stream
         slacker.cluster.node("src").crash()
         slacker.advance(5.0)
 
         assert manager.stats.aborted == 1
         assert manager.stats.migrations == 0
-        decision = manager.stats.decisions[-1]
+        assert manager.stats.decisions[-1] is decision
         assert decision.outcome == "aborted"
         assert not decision.executed
-        # Cooldown applied even though the migration failed.
-        assert manager.executor.cooldown_until == pytest.approx(
-            decision.time + manager.executor.cooldown, abs=5.0
-        )
+        assert not executor.active
+        # Both endpoints rest for the cooldown even though it failed.
+        now = env.now
+        assert executor.blocked_nodes(now) == {"src", "dst"}
+        assert executor.blocked_nodes(now + executor.cooldown) == set()
         assert_budget_history_clean(manager.ledger)
 
 
@@ -402,7 +404,7 @@ class LegacySerializedManager:
 
 
 class TestK1BitIdentity:
-    """``max_concurrent=1`` must reproduce the legacy manager exactly."""
+    """At ``max_concurrent=1`` the wave path moves tenants as the legacy manager did."""
 
     CONFIG = scaled_config(EVALUATION, 0.25)
 
@@ -457,7 +459,10 @@ class TestK1BitIdentity:
 
         assert new_traj == old_traj  # bitwise: every sample, every time
         assert new_placement == old_placement
-        assert new.stats.snapshots == old.snapshots
+        # The wave path snapshots once per interval, migrating or
+        # resting: at 10, 20, ..., 220 s before the run stops at 230 s.
+        # (The legacy loop skipped the ticks its inline migration took.)
+        assert new.stats.snapshots == 22
         assert new.stats.migrations == old.migrations
         assert new.stats.skipped == old.skipped
         new_rows = [

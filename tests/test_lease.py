@@ -14,7 +14,6 @@ from repro.middleware.protocol import (
     decode_message,
     encode_message,
 )
-from repro.middleware.transport import RetryPolicy
 from repro.migration.lease import LeaseManager
 from repro.migration.result import MigrationAborted
 from repro.resources.units import MB, mb_per_sec
@@ -119,7 +118,6 @@ def _leased_cluster(seed=11, lease_ttl=2.0):
         env,
         ["a", "b"],
         streams=RandomStreams(seed),
-        retry_policy=RetryPolicy(),
         lease_ttl=lease_ttl,
     )
     return env, cluster
@@ -198,8 +196,9 @@ def _grace_scenario(suspect_grace):
 
 class TestSuspectGrace:
     def test_flag_off_cancels_on_first_horizon_crossing(self):
-        # Legacy two-state detector: the 1.2 s silence window exceeds
-        # the 0.75 s horizon, b is declared dead, the migration dies.
+        # No grace: the scan's suspect branch never runs.  The 1.2 s
+        # silence window exceeds the 0.75 s horizon, b is declared
+        # dead at once, the migration dies.
         cluster, outcomes = _grace_scenario(suspect_grace=0.0)
         assert outcomes and outcomes[0][0] == "aborted"
         assert "declared dead" in outcomes[0][1]

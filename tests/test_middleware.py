@@ -158,6 +158,9 @@ class TestFrontend:
         message = env.run(until=p)
         assert isinstance(message, TenantLocationUpdate)
         assert message.node == "node-b"
+        # The push counts once its send returns, which is after the
+        # receiver's wake-up at the same instant.
+        env.run()
         assert frontend.updates_published == 1
 
     def test_unsubscribe_stops_updates(self, env):

@@ -224,12 +224,10 @@ class _LinkScript:
         return (sender, recipient) in self.blocked
 
 
-def _bare_bus(policy=None):
+def _bare_bus(policy):
     env = Environment()
     bus = MessageBus(
-        env,
-        retry_policy=policy,
-        jitter_rng=RandomStreams(0).stream("jitter") if policy else None,
+        env, retry_policy=policy, jitter_rng=RandomStreams(0).stream("jitter")
     )
     return env, bus, bus.endpoint("a"), bus.endpoint("b")
 
@@ -242,17 +240,6 @@ def _send_catching(env, endpoint, recipient, message, errors):
 
 
 class TestPartitionedTransport:
-    def test_forward_block_fails_fast_without_policy(self):
-        env, bus, a, b = _bare_bus()
-        bus.faults = _LinkScript({("a", "b")})
-        errors = []
-        env.process(_send_catching(env, a, "b", BEAT, errors))
-        env.run()
-        assert len(errors) == 1 and not errors[0].delivered_unknown
-        assert a.failed == 1 and a.interrupted == 0
-        assert b.received == 0
-        assert bus.messages_dropped_partition == 1
-
     def test_forward_block_exhausts_retries_as_failed(self):
         env, bus, a, b = _bare_bus(RetryPolicy(timeout=0.2, max_attempts=3))
         bus.faults = _LinkScript({("a", "b")})
@@ -288,18 +275,6 @@ class TestPartitionedTransport:
         # treat the operation as applied (idempotent handlers).
         assert b.received == 2
 
-    def test_reply_path_block_invisible_without_policy(self):
-        # The fail-fast path has no acknowledgement concept, so a cut
-        # reply link cannot affect it: byte-identical legacy behaviour.
-        env, bus, a, b = _bare_bus()
-        bus.faults = _LinkScript({("b", "a")})
-        errors = []
-        env.process(_send_catching(env, a, "b", BEAT, errors))
-        env.run()
-        assert not errors
-        assert a.delivered == 1 and b.received == 1
-        assert bus.acks_lost == 0 and bus.send_interrupted == 0
-
 
 class TestOneWaySuspicion:
     def test_asymmetric_partition_yields_asymmetric_verdicts(self):
@@ -307,9 +282,7 @@ class TestOneWaySuspicion:
         # (still fed by b's heartbeats) keeps trusting b.  When the
         # window lifts, b un-declares a.
         env = Environment()
-        cluster = SlackerCluster(
-            env, ["a", "b"], streams=RandomStreams(11), retry_policy=RetryPolicy()
-        )
+        cluster = SlackerCluster(env, ["a", "b"], streams=RandomStreams(11))
         plan = FaultPlan(
             partitions=(
                 PartitionFault(at=1.0, duration=2.0, kind="oneway", src="a", dst="b"),
