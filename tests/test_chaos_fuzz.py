@@ -51,6 +51,11 @@ SCENARIOS = {
     "flap-source-target": ("completed", "messages_dropped_partition"),
     "gray-target": ("completed", "faults_gray_drops"),
     "stall-source": ("completed", "faults_disk_stalls"),
+    # Seeded schedules 316 (live) and 913 (fluid, 8 chunks): a target
+    # crash, and a split that cuts the target off, abort each while
+    # snapshot pieces are still in flight.
+    "fuzz-0316-live": ("aborted", "faults_node_crashes"),
+    "fuzz-0913-fluid": ("aborted", "messages_dropped_partition"),
 }
 
 

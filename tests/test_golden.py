@@ -89,7 +89,7 @@ def _golden() -> dict:
 
 def test_golden_file_names_every_entry():
     assert sorted(_golden()) == sorted(ENTRIES)
-    assert len(ENTRIES) == 23
+    assert len(ENTRIES) == 25
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
