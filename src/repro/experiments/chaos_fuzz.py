@@ -89,7 +89,8 @@ class FuzzRecord:
     #: Seed the plan was expanded from (replays bit-identically); 0
     #: for a fixed plan file without one.
     schedule_seed: int
-    #: "completed", "aborted", "skipped", or "wedged".
+    #: "completed", "aborted", "skipped", "wedged", or "not-launched"
+    #: (the wave started nothing: the source was down at the warm-up's end).
     outcome: str
     #: Invariants that failed (empty = healthy run).
     violations: tuple[str, ...]
@@ -315,7 +316,10 @@ def fuzz_point(
     proc = env.process(driver())
     env.run(until=env.any_of([proc, env.timeout(run_limit)]))
     if proc.triggered:
-        outcome = executor.stats.decisions[-1].outcome
+        decisions = executor.stats.decisions
+        # A wave records no decision for a proposal whose source is down
+        # (a plan that crashes ``source`` before the warm-up ends).
+        outcome = decisions[-1].outcome if decisions else "not-launched"
         # Drain late duplicates/retries through the idempotent handlers.
         env.run(until=env.now + cooldown)
     else:

@@ -38,7 +38,8 @@ def check_invariants(
 ) -> list[str]:
     """Audit tenant 1 after a chaos run; returns violation strings.
 
-    ``outcome`` is "completed", "aborted" or "wedged"; ``tenant`` and
+    ``outcome`` is "completed", "aborted", "wedged" or "not-launched"
+    (no migration started); ``tenant`` and
     ``source_engine`` are the migrated tenant and the engine it started
     on; ``client`` and ``trace`` are its workload and latency record.
     """
@@ -65,6 +66,9 @@ def check_invariants(
             )
         elif source_engine.successor is None:
             violations.append("stopped source engine has no successor wired")
+    elif outcome == "not-launched":
+        if hosts != ["source"]:
+            violations.append(f"unlaunched migration left tenant on {hosts!r}")
     elif outcome == "aborted":
         if hosts != ["source"]:
             violations.append(f"aborted migration left tenant on {hosts!r}")

@@ -838,6 +838,14 @@ def _is_service_call(node: ast.AST) -> bool:
     return pattern is not None and pattern.search(name) is not None
 
 
+def _continuation(node: ast.Call) -> Optional[ast.expr]:
+    """The ``then=`` a service call is given (its continuation form), if any."""
+    for keyword in node.keywords:
+        if keyword.arg == "then":
+            return keyword.value
+    return None
+
+
 def _is_get_call(node: ast.AST) -> bool:
     """A ``.get(...)`` on a receiver named for a queue or a bucket."""
     name = _receiver_name(node)
@@ -848,7 +856,7 @@ def _is_get_call(node: ast.AST) -> bool:
 
 @register
 class UnconsumedServiceRule(Rule):
-    """SLK013: a service call or a queue get in a process not consumed at once.
+    """SLK013: a service call or queue get not consumed at once, or a continuation form without ``then``.
 
     ``Cpu.execute``, ``Disk.read``/``write``, ``NetworkLink.transfer``
     and the engine's ``_access_page`` do their work when called: a
@@ -868,6 +876,15 @@ class UnconsumedServiceRule(Rule):
     always a generator that does all of its work once run.  Receivers
     are matched by name (``cpu``, ``disk``, ``nic``/``link``).
 
+    A service given ``then=`` is in continuation form: it never runs in
+    place and never returns a generator; it ends by calling its
+    continuation, in a process or not.  It is legal only with that
+    continuation attached in the same statement, as a ``then=`` that
+    is not ``None``, and a process must not wait on it with ``yield``
+    or ``yield from``: the work already goes on in the continuation::
+
+        self.reads.append(disk.read(size, then=self._read))
+
     A ``.get(...)`` on a queue or a bucket (a receiver named like
     ``*queue``, ``inbox``, ``slots``, ``pieces`` or ``*bucket``) follows
     the same contract with ``yield``: a get met at once, with nothing
@@ -882,7 +899,8 @@ class UnconsumedServiceRule(Rule):
     id = "SLK013"
     summary = (
         "resource-service call or queue/bucket get in a process "
-        "not consumed by `yield from`/`yield` at once"
+        "not consumed by `yield from`/`yield` at once, or a "
+        "continuation-form service without its continuation"
     )
 
     def visit_Module(self, node: ast.Module) -> None:
@@ -890,13 +908,31 @@ class UnconsumedServiceRule(Rule):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             nodes = list(_own_nodes(func))
-            if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes):
-                continue  # not a process
+            process = any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes)
             consumed = {
                 id(n.value) for n in nodes if isinstance(n, ast.YieldFrom)
             }
             yielded = {id(n.value) for n in nodes if isinstance(n, ast.Yield)}
             for sub in nodes:
+                then = _continuation(sub) if _is_service_call(sub) else None
+                if then is not None:
+                    if isinstance(then, ast.Constant) and then.value is None:
+                        self.report(
+                            sub,
+                            f"`.{sub.func.attr}(..., then=None)`: a "
+                            "continuation-form service needs its continuation "
+                            "attached in the same statement",
+                        )
+                    elif id(sub) in consumed or id(sub) in yielded:
+                        self.report(
+                            sub,
+                            f"`.{sub.func.attr}(..., then=...)` must not be "
+                            "waited on: a continuation-form service goes on "
+                            "in its continuation",
+                        )
+                    continue
+                if not process:
+                    continue
                 if _is_service_call(sub) and id(sub) not in consumed:
                     self.report(
                         sub,

@@ -11,11 +11,13 @@ tenant's final delta — only behind one chunk's.
 
 :class:`FluidMigration` is that one engine.  Per chunk, in page order:
 
-1. **Snapshot** — pipelined copy of the chunk's pages: the throttle
-   admits a piece, a pipeline slot bounds the pieces in flight, a
-   spawned process reads it on the source and wires it over, and a
-   consumer writes it on the target (a streamed ``xtrabackup | pv |
-   nc``).  The source keeps serving everything.
+1. **Snapshot** — pipelined copy of the chunk's pages (a streamed
+   ``xtrabackup | pv | nc``): one producer process per chunk waits for
+   the throttle to admit a piece and for a pipeline slot; the piece's
+   source read, wire transfer and target write then run as service
+   continuations (:class:`_SnapshotStream`), with no process per
+   piece, and a FIFO target writer gives the slot back once the piece
+   is written.  The source keeps serving everything.
 2. **Prepare** — apply the writes made to the chunk during its copy
    (crash recovery of the copied data); the first chunk's prepare
    creates the target engine.
@@ -40,7 +42,9 @@ counts each chunk's writes, which size its deltas.
 
 Failure semantics (Zephyr-style): until the last chunk freezes
 (``HANDOVER``) the migration can be aborted at any instant — the run
-process and its pipeline children are interrupted, frozen chunks thaw,
+process and its pipeline children are interrupted, the snapshot
+pieces in flight are withdrawn from their disks and wire, frozen
+chunks thaw,
 flipped chunks flip back to the source with their writes shipped home,
 the half-built target is discarded, and the tenant keeps serving at
 the source.  From ``HANDOVER`` on aborts are refused: the target is
@@ -52,6 +56,7 @@ becoming authoritative.  The phase attribute is a real state machine
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES, Snapshot
@@ -59,7 +64,7 @@ from ..db.engine import DatabaseEngine, EngineState, FreezeMode
 from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import KB, PAGE_SIZE
-from ..simulation import Container, Environment, Event, Interrupt, Process, Store
+from ..simulation import Container, Environment, Event, Interrupt, Process, Request
 from .result import MigrationAborted, MigrationResult
 from .throttle import Throttle
 
@@ -458,7 +463,11 @@ class FluidMigration:
         self._applied = [0] * self.num_chunks
         self._abort_reason: Optional[str] = None
         self._process: Optional[Process] = None
+        #: Processes an abort interrupts: each chunk's producer, prepare
+        #: and delta rounds (never one per snapshot piece).
         self._children: list[Process] = []
+        #: The chunk stream being copied, which an abort withdraws.
+        self._stream: Optional[_SnapshotStream] = None
 
     @property
     def abort_reason(self) -> Optional[str]:
@@ -534,6 +543,11 @@ class FluidMigration:
             if child.is_alive and child is not active:
                 child.interrupt("migration aborted")
         self._children.clear()
+        if self._stream is not None:
+            # The producer was the last child spawned: its pieces come
+            # after it, as their processes did.
+            self._stream.abort()
+            self._stream = None
         for chunk in range(self.num_chunks):
             self._thaw(chunk)
             if self.chunk_map.owner(chunk) != "source":
@@ -616,10 +630,11 @@ class FluidMigration:
     def _copy_chunk(self, chunk: int) -> Generator:
         """Stream one chunk's pages to the target; returns the snapshot.
 
-        Pipelined source read → wire → target write through a bounded
-        buffer of :data:`PIPELINE_DEPTH` pieces.  The snapshot records
-        the chunk's log marks at the start and end of the scan: the
-        writes between them are what the prepare step applies.
+        Pipelined source read → wire → target write with at most
+        :data:`PIPELINE_DEPTH` pieces in flight (:class:`_SnapshotStream`).
+        The snapshot records the chunk's log marks at the start and end
+        of the scan: the writes between them are what the prepare step
+        applies.
         """
         lo, hi = self.chunk_map.page_range(chunk)
         snapshot = Snapshot(
@@ -627,25 +642,23 @@ class FluidMigration:
             total_bytes=(hi - lo) * self.source.layout.page_size,
             started_at=self.env.now,
         )
-        pieces = Store(self.env)
-        slots = Container(self.env, capacity=PIPELINE_DEPTH, init=PIPELINE_DEPTH)
-        stream = f"{self.source.name}:restore"
-        producer = self._spawn(self._snapshot_producer(chunk, snapshot, pieces, slots))
-        consumer = self._spawn(self._snapshot_consumer(pieces, slots, stream))
-        yield self.env.all_of([producer, consumer])
+        self._stream = _SnapshotStream(self, chunk, snapshot)
+        yield self._spawn(self._snapshot_producer(self._stream))
+        self._stream = None
         return snapshot
 
-    def _snapshot_producer(self, chunk: int, snapshot, pieces: Store, slots: Container):
-        """Pace piece shipments at the throttle rate.
+    def _snapshot_producer(self, stream: "_SnapshotStream") -> Generator:
+        """Pace piece shipments at the throttle rate; end once all are written.
 
-        Each piece's disk read is spawned asynchronously (bounded by
-        the pipeline depth), modelling xtrabackup/OS readahead keeping
-        the pipe full: a busy disk makes reads *queue*, it does not
-        make the throttle back off.  Sustained pressure beyond the
-        disk's capacity is exactly what overloads the server in the
-        paper's Figure 6.
+        Each piece's disk read is issued at once (bounded by the
+        pipeline depth), modelling xtrabackup/OS readahead keeping the
+        pipe full: a busy disk makes reads *queue*, it does not make
+        the throttle back off.  Sustained pressure beyond the disk's
+        capacity is exactly what overloads the server in the paper's
+        Figure 6.
         """
-        in_flight: list = []
+        snapshot = stream.snapshot
+        slots = stream.slots
         while not snapshot.complete and snapshot.streamed_bytes < snapshot.total_bytes:
             if self._abort_reason is not None:
                 break
@@ -654,39 +667,10 @@ class FluidMigration:
             yield from self.throttle.acquire(size)
             yield slots.get(1)
             snapshot.streamed_bytes += size
-            is_last = snapshot.streamed_bytes >= snapshot.total_bytes
-            in_flight.append(
-                self._spawn(self._ship_piece(chunk, snapshot, size, is_last, pieces))
-            )
-        for proc in in_flight:
-            if proc.is_alive:
-                yield proc
-        pieces.put(None)  # end-of-stream marker
-
-    def _ship_piece(self, chunk: int, snapshot, size: int, is_last: bool, pieces: Store):
-        """Read one piece on the source and wire it to the target."""
-        yield from self.source.server.disk.read(
-            size, sequential=True, stream=f"{self.source.name}:backup"
-        )
-        snapshot.chunks += 1
-        if is_last:
-            # The consistent-scan endpoint: the log past this mark is
-            # the delta the prepare/delta steps must replay.
-            snapshot.end_lsn = self._log_mark(chunk)
-            snapshot.finished_at = self.env.now
-        yield from self.source.server.nic_out.transfer(size)
-        pieces.put(size)
-
-    def _snapshot_consumer(self, pieces: Store, slots: Container, stream: str):
-        """Write received pieces to the target disk."""
-        while True:
-            size = yield pieces.get()
-            if size is None:
-                return
-            yield from self.target_server.disk.write(
-                size, sequential=True, stream=stream
-            )
-            slots.put(1)
+            stream.ship(size)
+        if stream.written < len(stream.sizes):
+            stream.drained = Event(self.env)
+            yield stream.drained
 
     def _apply(self, chunk: int, nbytes: int, mark: int) -> Generator:
         """Replay ``nbytes`` of the chunk's log on the target, up to ``mark``.
@@ -827,6 +811,127 @@ class FluidMigration:
             total_freeze_time=sum(freezes) if self.chunked else 0.0,
             target=self.target,
         )
+
+
+class _SnapshotStream:
+    """One chunk's snapshot stream, with no process per piece.
+
+    The producer ships each piece with :meth:`ship`.  Its source read,
+    wire transfer and target write are continuation-form services
+    (``then=``) whose continuations are this object's bound methods, so
+    a piece costs the service events alone.  Each stage is FIFO in
+    piece order: reads on the arm and transfers on the wire, at one
+    priority, end in the order they were issued, and one constant
+    latency keeps arrivals in that order.  So per piece the stream
+    keeps only its size; stage counts say which piece a continuation
+    is for.  The target writer is FIFO too: it issues the next write
+    when the previous one ends, then gives the slot back.
+    """
+
+    __slots__ = (
+        "migration", "chunk", "snapshot", "disk", "nic", "target_disk",
+        "backup", "restore", "slots", "sizes", "reads", "wires", "landed",
+        "writing", "written", "drained",
+    )
+
+    def __init__(self, migration: FluidMigration, chunk: int, snapshot: Snapshot):
+        source = migration.source
+        self.migration = migration
+        self.chunk = chunk
+        self.snapshot = snapshot
+        self.disk = source.server.disk
+        self.nic = source.server.nic_out
+        self.target_disk = migration.target_server.disk
+        self.backup = f"{source.name}:backup"
+        self.restore = f"{source.name}:restore"
+        #: Free pipeline slots: a piece takes one when shipped and gives
+        #: it back once written.
+        self.slots = Container(migration.env, capacity=PIPELINE_DEPTH, init=PIPELINE_DEPTH)
+        #: Size of every piece shipped, in order.
+        self.sizes: list[int] = []
+        #: Source reads and wire transfers in flight, oldest first.
+        self.reads: deque = deque()
+        self.wires: deque = deque()
+        #: Pieces arrived at the target, and written there.
+        self.landed = 0
+        self.written = 0
+        #: The target write in service or queued, if any.
+        self.writing = None
+        #: Set by the producer once it has shipped its last piece; fires
+        #: when that piece is written.
+        self.drained: Optional[Event] = None
+
+    def ship(self, size: int) -> None:
+        """Read one more piece on the source, then wire and write it."""
+        self.sizes.append(size)
+        self.reads.append(
+            self.disk.read(size, sequential=True, stream=self.backup, then=self._read)
+        )
+
+    def _read(self, _request) -> None:
+        self.reads.popleft()
+        snapshot = self.snapshot
+        snapshot.chunks += 1
+        index = snapshot.chunks - 1
+        if index == len(self.sizes) - 1 and snapshot.streamed_bytes >= snapshot.total_bytes:
+            # The consistent-scan endpoint: the log past this mark is
+            # the delta the prepare/delta steps must replay.
+            snapshot.end_lsn = self.migration._log_mark(self.chunk)
+            snapshot.finished_at = self.migration.env.now
+        self.wires.append(self.nic.transfer(self.sizes[index], then=self._arrived))
+
+    def _arrived(self, event: Event) -> None:
+        self.wires.popleft()
+        self.landed += 1
+        if self.writing is None:
+            self._hand_off(event, self._write)
+
+    def _hand_off(self, event: Event, step: Callable[[Optional[Event]], None]) -> None:
+        """Take the writer's next ``step`` where a consumer's queue get was
+        (see :meth:`~repro.simulation.core.Environment._hand_off`)."""
+        pending = self.migration.env._hand_off(event, step)
+        if pending is not None:
+            self.writing = pending
+
+    def _write(self, _event) -> None:
+        self.writing = self.target_disk.write(
+            self.sizes[self.written], sequential=True, stream=self.restore,
+            then=self._written,
+        )
+
+    def _written(self, request: Request) -> None:
+        self.written += 1
+        self.writing = None
+        self.slots.put(1)
+        if self.written < self.landed:
+            self._hand_off(request, self._write)
+        elif self.drained is not None and self.written == len(self.sizes):
+            self._hand_off(request, self._drain)
+
+    def _drain(self, _event) -> None:
+        self.writing = None
+        self.drained.succeed()
+
+    def abort(self) -> None:
+        """Withdraw every piece in flight, at once.
+
+        The order is the one in which interrupted piece processes gave
+        their units back: the target write first, then each piece's
+        wire transfer or source read, oldest first.  A read in service
+        frees the arm for the next one, which is then withdrawn in turn.
+        """
+        writing = self.writing
+        if writing.__class__ is Request:
+            self.target_disk.withdraw(writing)
+        elif writing is not None:
+            writing.callbacks.clear()  # a hand-off not yet taken
+        self.writing = None
+        for request in self.wires:
+            self.nic.withdraw(request)
+        for request in self.reads:
+            self.disk.withdraw(request)
+        self.wires.clear()
+        self.reads.clear()
 
 
 def check_fluid_invariants(migration: FluidMigration) -> list[str]:

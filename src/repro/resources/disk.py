@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import log as _log
-from typing import Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional, Union
 
 from ..simulation import Environment, Request, Resource, default_rng
 from .units import MB
@@ -128,15 +128,17 @@ class Disk:
         sequential: bool = False,
         stream: Optional[str] = None,
         priority: int = 0,
-    ) -> Iterable:
+        then: Optional[Callable[[Request], None]] = None,
+    ) -> Union[Iterable, Request]:
         """Read ``nbytes`` (queue on the arm, then transfer).
 
         Consume the result at once with ``yield from`` inside a process
-        (see :meth:`_access`).
+        (see :meth:`_access`).  With ``then`` the read is in
+        continuation form: the :class:`Request` comes back, and when the
+        read ends the disk frees the arm and counts it, then calls
+        ``then(request)``; :meth:`withdraw` cancels it before that.
         """
-        return self._access(
-            nbytes, sequential, stream, is_write=False, cached=False, priority=priority
-        )
+        return self._access(nbytes, sequential, stream, False, False, priority, then)
 
     def write(
         self,
@@ -145,16 +147,25 @@ class Disk:
         stream: Optional[str] = None,
         cached: bool = False,
         priority: int = 0,
-    ) -> Iterable:
+        then: Optional[Callable[[Request], None]] = None,
+    ) -> Union[Iterable, Request]:
         """Write ``nbytes``; consume it like :meth:`read`.
 
         ``cached=True`` models a write absorbed by the drive's write
         cache (used for group-commit log flushes): transfer time only,
         no arm movement.
         """
-        return self._access(
-            nbytes, sequential, stream, is_write=True, cached=cached, priority=priority
-        )
+        return self._access(nbytes, sequential, stream, True, cached, priority, then)
+
+    def withdraw(self, request: Request) -> None:
+        """Cancel a continuation-form access that has not ended.
+
+        Its continuation never runs.  Queued, it leaves the queue; in
+        service, it frees the arm at once and the next access starts,
+        as an interrupted waiter's release does.
+        """
+        request.callbacks.clear()
+        self._arm.release(request)
 
     # -- internals ---------------------------------------------------------
 
@@ -172,9 +183,10 @@ class Disk:
         """At the grant: count the time queued, then draw the in-service
         time and update arm-position state.
 
-        ``access`` is ``(queued_at, nbytes, sequential, stream, cached)``.
+        ``access`` is ``(queued_at, nbytes, sequential, stream, cached,
+        is_write)``.
         """
-        queued_at, nbytes, sequential, stream, cached = access
+        queued_at, nbytes, sequential, stream, cached, _ = access
         self.stats.queue_time += self.env._now - queued_at
         params = self.params
         if cached:
@@ -202,24 +214,38 @@ class Disk:
         is_write: bool,
         cached: bool,
         priority: int,
-    ) -> Iterable:
+        then: Optional[Callable[[Request], None]] = None,
+    ) -> Union[Iterable, Request]:
         """Queue on the arm, then serve; ``()`` when it all ran in place.
 
         The contract of :meth:`~repro.resources.cpu.Cpu.execute`: the
         access is one :meth:`Resource.serve`, which runs it here when it
         ends before the next event the kernel would process, and ``()``
-        comes back; otherwise a generator that waits for its end.
+        comes back; otherwise a generator that waits for its end.  With
+        ``then``, the continuation form of :meth:`Resource.serve`:
+        :meth:`_done` finishes it.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         env = self.env
+        if then is not None:
+            request = self._arm.serve(
+                priority,
+                self._service,
+                (env._now, nbytes, sequential, stream, cached, is_write),
+                self._done,
+            )
+            request.then = then
+            return request
         if env._active_process is None:
             return self._later(nbytes, sequential, stream, is_write, cached, priority)
         service = self._arm.serve(
-            priority, self._service, (env._now, nbytes, sequential, stream, cached)
+            priority,
+            self._service,
+            (env._now, nbytes, sequential, stream, cached, is_write),
         )
         if service.__class__ is Request:
-            return self._wait(service, nbytes, sequential, is_write, cached)
+            return self._wait(service)
         self.stats.busy_time += service
         self._count(nbytes, sequential, is_write, cached)
         return ()
@@ -236,21 +262,27 @@ class Disk:
         """Process: :meth:`_access` called outside a process, run once started."""
         yield from self._access(nbytes, sequential, stream, is_write, cached, priority)
 
-    def _wait(
-        self,
-        grant: Request,
-        nbytes: int,
-        sequential: bool,
-        is_write: bool,
-        cached: bool,
-    ) -> Generator:
-        """Process: wait for an access that did not end in place, then free the arm."""
+    def _wait(self, grant: Request) -> Generator:
+        """Process: wait for an access that did not end in place, then finish it."""
         try:
-            service = yield grant
-            self.stats.busy_time += service
-            self._count(nbytes, sequential, is_write, cached)
-        finally:
+            yield grant
+        except BaseException:
             self._arm.release(grant)
+            raise
+        self._finish(grant)
+
+    def _done(self, request: Request) -> None:
+        """Callback: finish a continuation-form access, then continue."""
+        self._finish(request)
+        request.then(request)
+
+    def _finish(self, request: Request) -> None:
+        """The one finish step of an access that did not run in place:
+        count it, then free the arm."""
+        _, nbytes, sequential, _, cached, is_write = request.arg
+        self.stats.busy_time += request._value
+        self._count(nbytes, sequential, is_write, cached)
+        self._arm.release(request)
 
     def _count(
         self, nbytes: int, sequential: bool, is_write: bool, cached: bool

@@ -11,9 +11,9 @@ and target" extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional, Union
 
-from ..simulation import Environment, Request, Resource
+from ..simulation import Environment, Event, Request, Resource
 from .units import MB
 
 __all__ = ["NetworkParams", "NetworkStats", "NetworkLink"]
@@ -72,18 +72,33 @@ class NetworkLink:
         """Transfers waiting for the wire."""
         return self._wire.queue_length
 
-    def transfer(self, nbytes: int, priority: int = 0) -> Iterable:
+    def transfer(
+        self,
+        nbytes: int,
+        priority: int = 0,
+        then: Optional[Callable[[Request], None]] = None,
+    ) -> Union[Iterable, Request]:
         """Push ``nbytes`` through this link direction.
 
         The contract of :meth:`~repro.resources.cpu.Cpu.execute`: with
         serialization (one :meth:`Resource.serve`) and propagation both
         ending before the next event the kernel would process, the
         transfer runs here and ``()`` comes back; otherwise a generator
-        that finishes it.
+        that finishes it.  With ``then`` the transfer is in
+        continuation form: the wire's :class:`Request` comes back, the
+        link frees the wire when serialization ends, and once the bytes
+        have propagated it counts the transfer and calls ``then(event)``
+        with the event that ended it (the propagation's timeout, or the
+        request itself on a link with no latency); :meth:`withdraw`
+        cancels it before that.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         env = self.env
+        if then is not None:
+            request = self._wire.serve(priority, self._serialization, nbytes, self._sent)
+            request.then = then
+            return request
         if env._active_process is None:
             return self._later(nbytes, priority)
         serialization = self._wire.serve(priority, self._serialization, nbytes)
@@ -106,15 +121,57 @@ class NetworkLink:
         """Process: :meth:`transfer` called outside a process, run once started."""
         yield from self.transfer(nbytes, priority)
 
+    def withdraw(self, request: Request) -> None:
+        """Cancel a continuation-form transfer that has not arrived.
+
+        Its continuation never runs and it is not counted.  Queued, it
+        leaves the queue; in service, it frees the wire at once; off
+        the wire, its propagation ends unseen.
+        """
+        if request.callbacks is None:
+            request.then = None  # propagating: see _arrive
+            return
+        request.callbacks.clear()
+        self._wire.release(request)
+
     def _send(self, grant: Request, nbytes: int) -> Generator:
         """Process: wait for serialization that did not end in place,
         free the wire, then propagate."""
         try:
-            serialization = yield grant
-            self.stats.busy_time += serialization
-        finally:
+            yield grant
+        except BaseException:
             self._wire.release(grant)
+            raise
+        self._finish(grant)
         yield from self._propagate(nbytes)
+
+    def _finish(self, request: Request) -> None:
+        """The one finish step of serialization that did not run in
+        place: count the wire time, then free the wire."""
+        self.stats.busy_time += request._value
+        self._wire.release(request)
+
+    def _sent(self, request: Request) -> None:
+        """Callback: a continuation-form transfer left the wire."""
+        self._finish(request)
+        latency = self.params.latency
+        if latency > 0:
+            self.env.timeout(latency, request).callbacks.append(self._arrived)
+        else:
+            self._arrive(request, request)
+
+    def _arrived(self, propagation: Event) -> None:
+        self._arrive(propagation._value, propagation)
+
+    def _arrive(self, request: Request, event: Event) -> None:
+        """Count a continuation-form transfer as delivered, then continue."""
+        then = request.then
+        if then is None:
+            return  # withdrawn while propagating
+        stats = self.stats
+        stats.transfers += 1
+        stats.bytes_sent += request.arg
+        then(event)
 
     def _serialization(self, nbytes: int) -> float:
         """Time to put ``nbytes`` on the wire at the current bandwidth."""

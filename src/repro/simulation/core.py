@@ -513,7 +513,7 @@ class Environment:
         """
         return self._held
 
-    def _horizon(self) -> float:
+    def _horizon(self, dispatched: Optional[Event] = None) -> float:
         """Time of the next other event the run loop would process.
 
         Work the active process does in place must end strictly before
@@ -529,13 +529,22 @@ class Environment:
         earliest urgent event (a ``run(until=t)`` stop included) or
         live bucket, whichever comes first, and ``inf`` when neither
         exists.
+
+        A callback passes the event being dispatched to it as
+        ``dispatched``: the same rule then holds for the callback's
+        own work, with that event in place of the one that resumed a
+        process.
         """
         process = self._active_process
-        if process is None or self._fanout:
+        if dispatched is None:
+            if process is None or self._fanout:
+                return _NEG_INF
+            dispatched = process._target
+        elif process is not None or self._fanout:
             return _NEG_INF
         buckets = self._buckets
         bucket = buckets.get(self._now)
-        if bucket and bucket[-1] is not process._target:
+        if bucket and bucket[-1] is not dispatched:
             return _NEG_INF
         times = self._times
         while times and times[0] not in buckets:
@@ -545,6 +554,26 @@ class Environment:
         if urgent and urgent[0][0] < horizon:
             return urgent[0][0]
         return horizon
+
+    def _hand_off(
+        self, dispatched: Event, step: Callable[[Optional[Event]], None]
+    ) -> Optional[Event]:
+        """From a callback, take ``step`` at ``now`` as a queue get would.
+
+        ``dispatched`` is the event being dispatched to the callback.
+        When nothing else is due at ``now`` behind it, an event
+        scheduled for the step would be the next one processed, so
+        ``step(None)`` runs here, counted in :attr:`inline_grants`, and
+        ``None`` comes back.  Otherwise the step waits on a zero-delay
+        event, queued where that get's event would be, which comes back.
+        """
+        if self._horizon(dispatched) > self._now:
+            self._inline += 1
+            step(None)
+            return None
+        event = self.timeout(0)
+        event.callbacks.append(step)
+        return event
 
     # -- event factories -------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Union
+from typing import Any, Callable, Optional, Union
 
 from .core import _PENDING, Environment, Event
 
@@ -64,10 +64,13 @@ class Request(Event):
 
     Built by :meth:`Resource.serve`.  It fires once, at the end of the
     service started on its grant, with the service time as its value;
-    give the unit back with :meth:`Resource.release`.
+    give the unit back with :meth:`Resource.release`.  ``arg`` is the
+    argument the service was drawn from.  ``then`` is free for a
+    resource model's continuation-form service: the caller's
+    continuation, run after the model's finish step.
     """
 
-    __slots__ = ("granted_at", "start", "arg")
+    __slots__ = ("granted_at", "start", "arg", "then")
 
 
 class Resource:
@@ -102,7 +105,11 @@ class Resource:
         return len(self._queue)
 
     def serve(
-        self, priority: int, start: Callable[[Any], float], arg: Any
+        self,
+        priority: int,
+        start: Callable[[Any], float],
+        arg: Any,
+        then: Optional[Callable[[Request], None]] = None,
     ) -> Union[float, Request]:
         """Take one unit and start a service on it the instant it is granted.
 
@@ -126,6 +133,13 @@ class Resource:
         (counted in ``inline_grants`` there) and fires at grant +
         service.  ``granted_at`` is the grant time.  A request withdrawn
         while queued is never started.
+
+        With ``then`` the service is in *continuation form*: it never
+        runs in place, so the :class:`Request` always comes back,
+        granted or queued as above, with ``then`` as its one callback.
+        ``then(request)`` runs when the service ends and gives the unit
+        back; nothing waits on the request.  That is how a service
+        continues from a callback, where no process is active.
         """
         env = self.env
         users = self.users
@@ -133,14 +147,15 @@ class Resource:
             env._inline += 1
             service = start(arg)
             end = env._now + service
-            if env._horizon() > end:
+            if then is None and env._horizon() > end:
                 env._now = end
                 env._held += 1
                 return service
             request = _new_event(Request)
             request.env = env
-            request.callbacks = []
+            request.callbacks = [] if then is None else [then]
             request._defused = False
+            request.arg = arg
             users.append(request)
             request.granted_at = env._now
             request._ok = True
@@ -149,7 +164,7 @@ class Resource:
             return request
         request = _new_event(Request)
         request.env = env
-        request.callbacks = []
+        request.callbacks = [] if then is None else [then]
         request._defused = False
         request.granted_at = None
         request.start = start

@@ -11,7 +11,8 @@ the current fast path and demand identical trajectories
 * :class:`Resource` — the capacity-limited resource in its plainest
   form: every call of :meth:`Resource.serve` is pushed onto the wait
   heap and popped back off, its service drawn at the grant, and its
-  request fires at grant + service; nothing runs in place;
+  request fires at grant + service; nothing runs in place, so a
+  continuation-form call differs only in its request's callback;
 * :func:`process_per_txn_worker_loop` / :func:`process_per_txn_user_loop`
   — the open and closed benchmark clients' loops before transactions
   ran inline: each transaction in its own child ``Process``;
@@ -25,7 +26,9 @@ the current fast path and demand identical trajectories
 * :class:`GeneratorCpu` / :class:`GeneratorDisk` /
   :class:`GeneratorNetworkLink` — the CPU, disk and NIC services as
   generators that do all of their work once they run, queued through
-  the reference :class:`Resource`.
+  the reference :class:`Resource` (a continuation-form disk access or
+  transfer, which never runs in place, is the model's own, on the
+  reference :class:`Resource`).
 
 Nothing under ``src/`` imports this module.
 """
@@ -91,7 +94,7 @@ class HeapEnvironment(Environment):
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def _horizon(self) -> float:
+    def _horizon(self, dispatched: Optional[Event] = None) -> float:
         """Never continue in place: every service and wait is an event."""
         return float("-inf")
 
@@ -205,9 +208,16 @@ class Resource:
         """Number of requests waiting for a unit."""
         return len(self._queue)
 
-    def serve(self, priority: int, start, arg) -> Request:
-        """Queue a service; ``start(arg)`` draws it at the grant."""
+    def serve(self, priority: int, start, arg, then=None) -> Request:
+        """Queue a service; ``start(arg)`` draws it at the grant.
+
+        With ``then`` (the continuation form) ``then`` is the request's
+        one callback: it runs at the service's end and gives the unit
+        back.  Nothing here runs in place either way.
+        """
         request = Request(self.env)
+        if then is not None:
+            request.callbacks.append(then)
         request.granted_at = None
         request.start = start
         request.arg = arg
@@ -298,6 +308,24 @@ class GeneratorDisk(Disk):
         is_write: bool,
         cached: bool,
         priority: int,
+        then=None,
+    ):
+        if then is not None:
+            # The continuation form never runs in place: the disk's own,
+            # on the reference arm.
+            return Disk._access(
+                self, nbytes, sequential, stream, is_write, cached, priority, then
+            )
+        return self._generator_access(nbytes, sequential, stream, is_write, cached, priority)
+
+    def _generator_access(
+        self,
+        nbytes: int,
+        sequential: bool,
+        stream: Optional[str],
+        is_write: bool,
+        cached: bool,
+        priority: int,
     ) -> Generator:
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
@@ -307,7 +335,7 @@ class GeneratorDisk(Disk):
 
         def start(_):
             stats.queue_time += env.now - queued_at
-            return self._service((env.now, nbytes, sequential, stream, cached))
+            return self._service((env.now, nbytes, sequential, stream, cached, is_write))
 
         arm = self._arm
         grant = arm.serve(priority, start, None)
@@ -327,7 +355,17 @@ class GeneratorNetworkLink(NetworkLink):
         super().__init__(env, *args, **kwargs)
         self._wire = Resource(env, capacity=1)
 
-    def transfer(self, nbytes: int, priority: int = 0) -> Generator:
+    def transfer(self, nbytes: int, priority: int = 0, then=None):
+        """Push ``nbytes`` through this link direction, as a generator.
+
+        With ``then``, the link's own continuation form, on the
+        reference wire.
+        """
+        if then is not None:
+            return NetworkLink.transfer(self, nbytes, priority, then)
+        return self._generator_transfer(nbytes, priority)
+
+    def _generator_transfer(self, nbytes: int, priority: int) -> Generator:
         """Process: push ``nbytes`` through this link direction."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")

@@ -253,6 +253,24 @@ class TestOrphanedSends:
         assert record.ok, record.violations
 
 
+class TestSourceDownBeforeTheWave:
+    """A plan that crashes ``source`` before the warm-up ends: the wave
+    starts no migration and records no decision, so the run reports its
+    own outcome and still goes through the invariant battery."""
+
+    def test_reports_not_launched(self):
+        record = fuzz_point(
+            scaled_config(CASE_STUDY, 0.06),
+            label="source-down",
+            scheduled=({"at": 1.0, "kind": "crash_node", "node": "source"},),
+            warmup=2.0,
+        )
+        assert record.outcome == "not-launched"
+        assert record.ok, record.violations
+        assert record.counter("faults_node_crashes") == 1
+        assert record.counter("source_migrations_aborted") == 0
+
+
 class TestBrokenFencingSelfTest:
     """The acceptance gate: a deliberately broken fencing check must be
     caught by the invariant suite and shrunk to a minimized reproducer."""

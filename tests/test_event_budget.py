@@ -110,6 +110,56 @@ calls (``RandomStreams.stream`` and ``derive_seed``).
   events (``_resume`` and ``timeout`` twice, ``_horizon`` once): 9,287
   to 9,559.  The resource models gained 4 (``_propagate`` 3, ``_send``
   1): 7,351 to 7,355.
+
+Re-pinned when snapshot pieces stopped being processes: each piece's
+source read, wire transfer and target write are continuation-form
+services whose continuations are one stream object's methods, and a
+FIFO target writer replaces the consumer process and its queue.  Every
+trajectory stayed the same.  With ``p`` pieces and ``c`` chunks
+(fig5 and chaos 31 and 1, fluid 32 and 16, fleet drain 4 and 3, over
+its three migrations; on-demand streams none), the sum of the three
+counts fell by exactly ``2p + 2c`` (fig5 64, fluid 96, chaos 64, fleet
+drain 14): each piece's process start and exit, and each chunk's
+consumer start and exit and its ``all_of``, less the one event the
+producer now waits on for the chunk's last write.  The consumer's
+``p + c`` queue gets (one per piece, one for the end of the stream)
+became as many hand-offs to the writer, each taken in place, and
+counted in ``inline_grants``, only when the get's event would have
+been the next one processed (``Environment._hand_off``); at every
+point each one was.
+
+* ``inline_holds`` fell by the stream's services that used to end
+  before the next event and now always end in an event (fig5 56: 12
+  reads, 13 serializations, 31 propagations; fluid 47: 8, 10, 29;
+  chaos 30: 1, 2, 27; fleet drain 7: 1, 2, 4).  Every other hold is
+  unchanged.
+* ``inline_grants`` gained the ``p + c`` hand-offs and lost the
+  consumer's gets that were met in place (fig5 32 - 1 = +31, chaos
+  32 - 1 = +31, fleet drain 7 - 3 = +4); in the fluid point two
+  throttle gets are also met in place now, no process start being
+  due at ``now``: 48 - 16 + 2 = +34.
+* ``processed_events`` is the rest: fig5 -62 - 2 - 1 - 31 + 1 + 56 =
+  -39; fluid -64 - 32 - 16 - 32 + 16 + 47 - 2 = -83; chaos -62 - 2 - 1
+  - 31 + 1 + 30 = -65; fleet drain -8 - 6 - 3 - 4 + 3 + 7 = -11 (piece
+  starts and exits, consumer starts and exits, ``all_of``s, gets that
+  were events, the producer's last wait, holds now events, throttle
+  gets now in place).
+
+Kernel calls fell with the events and the processes (fig5 9,417 to
+8,798, fluid 11,034 to 10,019, chaos 45,588 to 44,908, fleet drain
+9,559 to 9,411): no ``process``, ``_Initialize``, ``is_alive``, queue
+put or get, or ``_resume`` per piece; ``timeout`` once per propagation
+that used to pass in place; ``_hand_off`` and ``_horizon`` once per
+hand-off.  The resource models' calls rose (fig5 7,602 to 8,202,
+on-demand 83,436 to 90,658, fluid 7,291 to 7,870, chaos 32,459 to
+34,732, fleet drain 7,355 to 7,534): ``Disk._wait`` and
+``NetworkLink._send`` now end through the models' one finish step
+(``_finish``), one call per access or send that did not run in place,
+tenant and stream alike (on-demand's whole +7,222); per piece the
+stream adds ``Disk._done`` twice and ``NetworkLink._sent``,
+``_arrived`` and ``_arrive`` once, while its reads, writes and sends
+no longer resume ``_wait``/``_send``/``_propagate`` generators.  The
+database engine's calls and the generated ``__init__``s are unchanged.
 """
 
 from __future__ import annotations
@@ -265,15 +315,15 @@ def _fleet_drain_point():
 
 def test_fig5_throttle_point():
     counts = _harness_counts(
-        _fig5_point, layer_calls=(9417, 7602, 7136), generated_inits=121
+        _fig5_point, layer_calls=(8798, 8202, 7136), generated_inits=121
     )
-    assert counts == (979, 1884, 1283)
+    assert counts == (940, 1915, 1227)
 
 
 def test_on_demand_point():
     """Every transaction on the cold target runs ``PartialReplicaEngine._access_page``."""
     counts = _harness_counts(
-        _on_demand_point, layer_calls=(93063, 83436, 43248), generated_inits=405
+        _on_demand_point, layer_calls=(93063, 90658, 43248), generated_inits=405
     )
     assert counts == (8324, 21656, 15304)
 
@@ -281,9 +331,9 @@ def test_on_demand_point():
 def test_fluid_point():
     """Transactions during the migration run through the ``FluidRouter``."""
     counts = _harness_counts(
-        _fluid_point, layer_calls=(11034, 7291, 5670), generated_inits=198
+        _fluid_point, layer_calls=(10019, 7870, 5670), generated_inits=198
     )
-    assert counts == (1252, 1789, 1210)
+    assert counts == (1169, 1823, 1163)
 
 
 def test_chaos_fault_injection_point():
@@ -296,19 +346,19 @@ def test_chaos_fault_injection_point():
             warmup=2.0,
             run_limit=120.0,
         ),
-        layer_calls=(45588, 32459, 30739),
+        layer_calls=(44908, 34732, 30739),
         generated_inits=962,
     )
-    assert counts == (5038, 8254, 6082)
+    assert counts == (4973, 8285, 6052)
 
 
 def test_fleet_drain_point():
     record = _unobserved(
-        _fleet_drain_point, layer_calls=(9559, 7355, 8603), generated_inits=373
+        _fleet_drain_point, layer_calls=(9411, 7534, 8603), generated_inits=373
     )
     assert record.ok
     counts = (record.events, record.inline, record.held)
-    assert counts == (648, 2146, 1957)
+    assert counts == (637, 2150, 1950)
 
 
 @pytest.mark.parametrize(

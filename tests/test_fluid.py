@@ -381,6 +381,90 @@ class TestChunkPipeline:
         drain(env, client)
 
 
+class _CountingEnvironment(Environment):
+    """Records the code file of every process's generator."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = []
+
+    def process(self, generator):
+        self.started.append(generator.gi_code.co_filename)
+        return super().process(generator)
+
+
+def _idle_migration(data_mb, num_chunks=1, rate_mb=64, chunk_bytes=1 * MB):
+    """A throttled migration of an idle tenant of ``data_mb`` MB."""
+    env = _CountingEnvironment()
+    streams = RandomStreams(seed=1234)
+    engine = DatabaseEngine(
+        env, Server(env, "src", streams=streams),
+        TableLayout.for_data_size(data_mb * MB), name="tenant-t",
+        buffer_bytes=2 * MB,
+    )
+    throttle = Throttle(env, rate=mb_per_sec(rate_mb))
+    migration = FluidMigration(
+        env, engine, Server(env, "dst", streams=streams), throttle,
+        num_chunks=num_chunks, chunk_bytes=chunk_bytes,
+    )
+    return env, engine, migration
+
+
+class TestSnapshotStream:
+    """A snapshot piece is its services' events: no process per piece."""
+
+    @pytest.mark.parametrize("num_chunks", CHUNKS)
+    def test_processes_do_not_grow_with_the_data(self, num_chunks):
+        started = []
+        for data_mb in (16, 32):
+            env, engine, migration = _idle_migration(data_mb, num_chunks)
+            result = env.run(until=env.process(migration.run()))
+            assert result.snapshot_bytes == data_mb * MB
+            # One sequential read per piece: the piece count doubles.
+            assert engine.server.disk.stats.sequential_reads >= data_mb
+            started.append(sum(f.endswith("fluid.py") for f in env.started))
+        # The run, and per chunk its producer, prepare and final delta.
+        assert started == [1 + 3 * num_chunks] * 2
+
+    @pytest.mark.parametrize("num_chunks", CHUNKS)
+    def test_children_hold_no_piece(self, num_chunks):
+        env, _, migration = _idle_migration(32, num_chunks)
+        proc = env.process(migration.run())
+        env.run(until=0.1)
+        assert migration._stream.sizes  # pieces in flight ...
+        migrated = migration.chunk_states.count(ChunkState.MIGRATED)
+        # ... under one producer, after three children per chunk moved.
+        assert len(migration._children) == 3 * migrated + 1
+        env.run(until=proc)
+        assert len(migration._children) == 3 * num_chunks
+
+    def test_abort_withdraws_queued_reads_at_once(self):
+        env, engine, migration = _idle_migration(32, rate_mb=1024)
+        disk = engine.server.disk
+        proc = env.process(migration.run())
+        seen = {}
+
+        def aborter():
+            yield env.timeout(0.06)
+            seen["queued"] = disk.queue_length
+            seen["in_service"] = disk._arm.count
+            assert migration.try_abort("test")
+            yield env.timeout(0)  # after the abort instant's rollback
+            seen["after"] = (env.now, disk._arm.count, disk.queue_length)
+            seen["reads"] = disk.stats.sequential_reads
+
+        env.process(aborter())
+        with pytest.raises(MigrationAborted):
+            env.run(until=proc)
+        env.run()
+        assert seen["queued"] >= 2 and seen["in_service"] == 1
+        assert seen["after"] == (0.06, 0, 0)
+        # No withdrawn read completes later.
+        assert disk.stats.sequential_reads == seen["reads"]
+        assert migration._stream is None
+        assert check_fluid_invariants(migration) == []
+
+
 class TestFluidMigration:
     """What only a chunked migration does: per-chunk flips, dual residency."""
 

@@ -16,12 +16,15 @@ of evidence:
 * random-script properties (:class:`TestScriptReplay`) run on the
   fast kernel and services, on the generator services on the fast
   kernel, and on the generator services on ``HeapEnvironment``.  The
-  scripts mix direct grants on a pool of 1-3 units, CPU bursts, disk
+  scripts mix direct grants on a pool of 1-3 units, continuation-form
+  services on the pool, the disk and the link, CPU bursts, disk
   I/O (sequential, random and cached, on two streams), NIC transfers,
   puts and gets on a shared queue and a shared bucket,
   fault-injector stalls on the disk arm and the wire, plain and
   absolute timeouts, multi-call transactions, interrupts while a call
-  is queued or in service, a process started or a zero-delay event
+  is queued or in service (a continuation-form service is withdrawn
+  then, as the snapshot stream's abort withdraws its pieces), a
+  process started or a zero-delay event
   queued just before a call, an event dispatched to several callbacks,
   bandwidth collapsing while calls are queued, services started from
   the top level, and ``run(until=t)`` stops; three narrower mixes spend
@@ -143,6 +146,10 @@ device_call = st.one_of(
     st.tuples(st.just("nic"), size_strategy),
 )
 grant_call = st.tuples(st.just("grant"), size_strategy)
+#: A service in continuation form, on the pool, the disk or the link.
+later_call = st.tuples(
+    st.just("later"), size_strategy, st.sampled_from(("pool", "read", "write", "nic"))
+)
 #: Plain and absolute timeouts.
 clock_call = st.one_of(
     st.tuples(st.just("wait"), size_strategy),
@@ -158,6 +165,7 @@ queue_call = st.one_of(
 call_strategy = st.one_of(
     device_call,
     grant_call,
+    later_call,
     st.tuples(st.just("stall"), size_strategy, st.sampled_from(("disk", "nic"))),
     clock_call,
     queue_call,
@@ -242,9 +250,49 @@ def _replay(side, capacity, stochastic, seed, actors, top, stops):
             finally:
                 pool.release(done)
 
+    def later(name, call, priority):
+        """A continuation-form service; the actor waits for its continuation.
+
+        Interrupted first, the actor withdraws it: a queued one leaves
+        the queue, one in service frees its unit at once, and one
+        propagating on the link arrives unseen.
+        """
+        size, where = call[1], call[2]
+        nbytes = int(size * 4)
+        done = env.event()
+
+        def then(request):
+            if where == "pool":
+                pool.release(request)
+            log.append((name, "then", where, env.now))
+            done.succeed()
+
+        if where == "pool":
+            request = pool.serve(priority, granted, (name, size), then)
+        elif where == "nic":
+            request = link.transfer(nbytes, priority, then=then)
+        elif where == "read":
+            request = disk.read(nbytes, True, "a", priority, then=then)
+        else:
+            request = disk.write(nbytes, False, None, priority=priority, then=then)
+        try:
+            yield done
+        except BaseException:
+            if not done.triggered:
+                if where == "pool":
+                    request.callbacks.clear()
+                    pool.release(request)
+                elif where == "nic":
+                    link.withdraw(request)
+                else:
+                    disk.withdraw(request)
+            raise
+
     def service(name, call, priority):
         """The work a call names; its result is consumed at once."""
         kind, size = call[0], call[1]
+        if kind == "later":
+            return later(name, call, priority)
         if kind == "cpu":
             return cpu.execute(size, priority)
         if kind == "nic":
@@ -405,7 +453,7 @@ class TestScriptReplay:
     @settings(deadline=None, max_examples=max(150, settings.default.max_examples))
     @given(
         capacity=st.integers(min_value=1, max_value=3),
-        actors=actors_of(st.one_of(grant_call, clock_call)),
+        actors=actors_of(st.one_of(grant_call, later_call, clock_call)),
         stops=stops_strategy,
     )
     def test_random_grant_scripts_match_the_reference(self, capacity, actors, stops):
@@ -996,6 +1044,91 @@ class TestServices:
             env.process(proc())
             env.run()
             assert len(errors) == 1 and env.now == 1.0
+
+
+class TestContinuationForm:
+    """A service given ``then`` never runs in place and ends in ``then``;
+    withdrawn, it never does.  Each case runs on the fast and on the
+    reference resource and must log the same."""
+
+    @pytest.mark.parametrize("pool_cls", [Resource, reference_kernel.Resource])
+    def test_lone_service_still_fires_an_event(self, pool_cls):
+        env = Environment()
+        pool = pool_cls(env)
+        log = []
+
+        def then(request):
+            pool.release(request)
+            log.append((env.now, request.granted_at, request.arg))
+
+        def proc():
+            yield env.timeout(1.0)
+            request = pool.serve(0, float, 0.5, then)
+            assert request.__class__ is Request and request.callbacks == [then]
+
+        env.process(proc())
+        env.run()
+        assert log == [(1.5, 1.0, 0.5)]
+        assert env.inline_holds == 0 and pool.count == 0
+
+    @pytest.mark.parametrize("pool_cls", [Resource, reference_kernel.Resource])
+    def test_withdrawn_while_queued_and_in_service(self, pool_cls):
+        env = Environment()
+        pool = pool_cls(env)
+        log = []
+
+        def then(request):
+            pool.release(request)
+            log.append(("then", request.arg, env.now))
+
+        def granted(name):
+            log.append(("granted", name, env.now))
+            return 1.0
+
+        first = pool.serve(0, granted, "first", then)
+        queued = pool.serve(0, granted, "queued", then)
+        last = pool.serve(0, granted, "last", then)
+
+        def withdraw():
+            yield env.timeout(0.25)
+            queued.callbacks.clear()
+            pool.release(queued)  # withdrawn while queued: never granted
+            yield env.timeout(0.25)
+            first.callbacks.clear()
+            pool.release(first)  # in service: the unit passes on at once
+            log.append(("freed", pool.count, env.now))
+
+        env.process(withdraw())
+        env.run()
+        assert log == [
+            ("granted", "first", 0.0),
+            ("granted", "last", 0.5),
+            ("freed", 1, 0.5),
+            ("then", "last", 1.5),
+        ]
+        assert pool.count == 0 and pool.queue_length == 0
+
+    def test_device_withdraw_frees_the_unit_and_skips_the_count(self):
+        env = Environment()
+        disk = _disk(env)
+        link = NetworkLink(env, NetworkParams(bandwidth=4.0, latency=0.25))
+        log = []
+        read = disk.read(2, then=lambda r: log.append("read"))
+        queued = disk.read(2, then=lambda r: log.append("queued"))
+        sent = link.transfer(2, then=lambda r: log.append("sent"))
+
+        def withdraw():
+            yield env.timeout(0.5)  # the read in service, the send propagating
+            disk.withdraw(read)
+            disk.withdraw(queued)
+            link.withdraw(sent)
+            log.append((disk._arm.count, disk.queue_length, link._wire.count))
+
+        env.process(withdraw())
+        env.run()
+        assert log == [(0, 0, 0)]
+        assert disk.stats.random_reads == 0 and link.stats.transfers == 0
+        assert link.stats.busy_time == 0.5  # its serialization was done
 
 
 class TestGrantTimeStart:

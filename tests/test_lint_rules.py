@@ -852,6 +852,36 @@ class TestSLK013UnconsumedService:
         assert "SLK013" in rule_ids(src)
 
 
+    def test_negative_continuation_form_stored(self):
+        src = (
+            "def producer(self, size):\n"
+            "    yield self.slots.get(1)\n"
+            "    self.reads.append(self.disk.read(size, then=self._read))\n"
+            "def _read(self, request):\n"
+            "    self.nic.transfer(4, then=self._arrived)\n"
+            "    self.target_disk.write(4, sequential=True, then=self._written)\n"
+        )
+        assert "SLK013" not in rule_ids(src)
+
+    def test_positive_continuation_form_without_its_continuation(self):
+        src = (
+            "def ship(self, size):\n"
+            "    return self.disk.read(size, then=None)\n"
+            "def producer(self, size):\n"
+            "    yield self.env.timeout(0)\n"
+            "    self.nic.transfer(size, then=None)\n"
+        )
+        assert rule_ids(src).count("SLK013") == 2
+
+    def test_positive_continuation_form_waited_on(self):
+        src = (
+            "def producer(self, size):\n"
+            "    yield from self.disk.read(size, then=self._read)\n"
+            "    yield self.nic.transfer(size, then=self._arrived)\n"
+        )
+        assert rule_ids(src).count("SLK013") == 2
+
+
 class TestSLK014DigestOwner:
     DRIVER = "src/repro/experiments/fig7_tradeoff.py"
 

@@ -153,7 +153,10 @@ class TestDiskService:
     def test_stochastic_seek_varies(self, env):
         params = DiskParams(stochastic_seek=True)
         disk = Disk(env, params, rng=random.Random(5))
-        draws = {disk._service((env.now, 16 * 1024, False, None, False)) for _ in range(10)}
+        draws = {
+            disk._service((env.now, 16 * 1024, False, None, False, False))
+            for _ in range(10)
+        }
         assert len(draws) > 1
 
 
