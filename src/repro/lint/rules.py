@@ -802,7 +802,7 @@ SERVICE_RECEIVERS = {
 #: Receivers whose ``.get(...)`` may be met in place (see
 #: :class:`UnconsumedServiceRule`): the names the ``Store`` queues and
 #: the ``Container`` buckets of ``src/`` go by.
-GET_RECEIVERS = re.compile(r"(queue|inbox|slots|pieces|bucket)$", re.IGNORECASE)
+GET_RECEIVERS = re.compile(r"(queue|inbox|slots|bucket)$", re.IGNORECASE)
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -886,7 +886,7 @@ class UnconsumedServiceRule(Rule):
         self.reads.append(disk.read(size, then=self._read))
 
     A ``.get(...)`` on a queue or a bucket (a receiver named like
-    ``*queue``, ``inbox``, ``slots``, ``pieces`` or ``*bucket``) follows
+    ``*queue``, ``inbox``, ``slots`` or ``*bucket``) follows
     the same contract with ``yield``: a get met at once, with nothing
     else due, takes its item there and returns an event already
     processed, which is right only if the process yields it before

@@ -544,8 +544,8 @@ class FluidMigration:
                 child.interrupt("migration aborted")
         self._children.clear()
         if self._stream is not None:
-            # The producer was the last child spawned: its pieces come
-            # after it, as their processes did.
+            # The producer was the last child spawned, and its pieces
+            # follow it (docs/SIMULATION.md, the abort contract).
             self._stream.abort()
             self._stream = None
         for chunk in range(self.num_chunks):
@@ -647,7 +647,7 @@ class FluidMigration:
         self._stream = None
         return snapshot
 
-    def _snapshot_producer(self, stream: "_SnapshotStream") -> Generator:
+    def _snapshot_producer(self, stream: _SnapshotStream) -> Generator:
         """Pace piece shipments at the throttle rate; end once all are written.
 
         Each piece's disk read is issued at once (bounded by the
@@ -824,8 +824,8 @@ class _SnapshotStream:
     priority, end in the order they were issued, and one constant
     latency keeps arrivals in that order.  So per piece the stream
     keeps only its size; stage counts say which piece a continuation
-    is for.  The target writer is FIFO too: it issues the next write
-    when the previous one ends, then gives the slot back.
+    is for.  The target writer is FIFO too: when a write ends it gives
+    the piece's slot back, then starts the next piece's write.
     """
 
     __slots__ = (

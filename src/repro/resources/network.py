@@ -76,7 +76,7 @@ class NetworkLink:
         self,
         nbytes: int,
         priority: int = 0,
-        then: Optional[Callable[[Request], None]] = None,
+        then: Optional[Callable[[Event], None]] = None,
     ) -> Union[Iterable, Request]:
         """Push ``nbytes`` through this link direction.
 

@@ -448,10 +448,12 @@ class TestSnapshotStream:
             yield env.timeout(0.06)
             seen["queued"] = disk.queue_length
             seen["in_service"] = disk._arm.count
+            grants = env.inline_grants
             assert migration.try_abort("test")
             yield env.timeout(0)  # after the abort instant's rollback
             seen["after"] = (env.now, disk._arm.count, disk.queue_length)
             seen["reads"] = disk.stats.sequential_reads
+            seen["grants"] = env.inline_grants - grants
 
         env.process(aborter())
         with pytest.raises(MigrationAborted):
@@ -459,6 +461,10 @@ class TestSnapshotStream:
         env.run()
         assert seen["queued"] >= 2 and seen["in_service"] == 1
         assert seen["after"] == (0.06, 0, 0)
+        # Oldest first, as the pieces' processes released them: each
+        # read freed the arm for the next, which started and was then
+        # withdrawn in turn.
+        assert seen["grants"] == seen["queued"]
         # No withdrawn read completes later.
         assert disk.stats.sequential_reads == seen["reads"]
         assert migration._stream is None
