@@ -1,49 +1,35 @@
 """Analysis utilities: summary statistics and paper-style text tables."""
 
-from .compare import (
-    ConfidenceInterval,
-    MannWhitneyResult,
-    bootstrap_difference,
-    bootstrap_mean_ci,
-    mann_whitney_u,
-)
-from .export import (
-    outcome_to_dict,
-    series_to_csv,
-    table_to_csv,
-    write_csv,
-    write_json,
-)
-from .plot import ascii_chart, sparkline
-from .report import Table, format_ms, format_rate, format_seconds
-from .stats import (
-    LatencySummary,
-    coefficient_of_variation,
-    is_diverging,
-    summarize,
-    trend_slope,
+from types import MappingProxyType
+
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "ConfidenceInterval": ".compare",
+        "LatencySummary": ".stats",
+        "MannWhitneyResult": ".compare",
+        "bootstrap_difference": ".compare",
+        "bootstrap_mean_ci": ".compare",
+        "mann_whitney_u": ".compare",
+        "Table": ".report",
+        "ascii_chart": ".plot",
+        "coefficient_of_variation": ".stats",
+        "format_ms": ".report",
+        "format_rate": ".report",
+        "format_seconds": ".report",
+        "is_diverging": ".stats",
+        "outcome_to_dict": ".export",
+        "series_to_csv": ".export",
+        "sparkline": ".plot",
+        "summarize": ".stats",
+        "table_to_csv": ".export",
+        "trend_slope": ".stats",
+        "write_csv": ".export",
+        "write_json": ".export",
+    }
 )
 
-__all__ = [
-    "ConfidenceInterval",
-    "LatencySummary",
-    "MannWhitneyResult",
-    "bootstrap_difference",
-    "bootstrap_mean_ci",
-    "mann_whitney_u",
-    "Table",
-    "ascii_chart",
-    "coefficient_of_variation",
-    "format_ms",
-    "format_rate",
-    "format_seconds",
-    "is_diverging",
-    "outcome_to_dict",
-    "series_to_csv",
-    "sparkline",
-    "summarize",
-    "table_to_csv",
-    "trend_slope",
-    "write_csv",
-    "write_json",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -1,27 +1,27 @@
 """Control theory: PID controllers, tuning, and adaptive extensions."""
 
-from .adaptive import AdaptivePidController, ProcessGainEstimator
-from .pid import (
-    PAPER_GAINS,
-    PidGains,
-    PositionalPidController,
-    VelocityPidController,
-)
-from .tuning import RelayResult, RelayTuner, budget_setpoint, ziegler_nichols
-from .window import DEFAULT_TIMESTEP, DEFAULT_WINDOW, LatencyWindow
+from types import MappingProxyType
 
-__all__ = [
-    "AdaptivePidController",
-    "DEFAULT_TIMESTEP",
-    "DEFAULT_WINDOW",
-    "LatencyWindow",
-    "PAPER_GAINS",
-    "PidGains",
-    "PositionalPidController",
-    "ProcessGainEstimator",
-    "RelayResult",
-    "RelayTuner",
-    "VelocityPidController",
-    "budget_setpoint",
-    "ziegler_nichols",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "AdaptivePidController": ".adaptive",
+        "DEFAULT_TIMESTEP": ".window",
+        "DEFAULT_WINDOW": ".window",
+        "LatencyWindow": ".window",
+        "PAPER_GAINS": ".pid",
+        "PidGains": ".pid",
+        "PositionalPidController": ".pid",
+        "ProcessGainEstimator": ".adaptive",
+        "RelayResult": ".tuning",
+        "RelayTuner": ".tuning",
+        "VelocityPidController": ".pid",
+        "budget_setpoint": ".tuning",
+        "ziegler_nichols": ".tuning",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

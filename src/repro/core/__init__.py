@@ -1,27 +1,26 @@
 """Core public API: configuration presets, SLAs, and the Slacker facade."""
 
-from .config import (
-    CASE_STUDY,
-    EVALUATION,
-    ExperimentConfig,
-    TenantConfig,
-    WorkloadConfig,
-)
-from .configfile import ConfigFileError, config_from_dict, load_config
-from .sla import LatencySla, SlaMonitor, SlaWindowReport
-from .slacker import Slacker
+from types import MappingProxyType
 
-__all__ = [
-    "CASE_STUDY",
-    "ConfigFileError",
-    "EVALUATION",
-    "ExperimentConfig",
-    "LatencySla",
-    "Slacker",
-    "SlaMonitor",
-    "SlaWindowReport",
-    "TenantConfig",
-    "WorkloadConfig",
-    "config_from_dict",
-    "load_config",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "CASE_STUDY": ".config",
+        "ConfigFileError": ".configfile",
+        "EVALUATION": ".config",
+        "ExperimentConfig": ".config",
+        "LatencySla": ".sla",
+        "Slacker": ".slacker",
+        "SlaMonitor": ".sla",
+        "SlaWindowReport": ".sla",
+        "TenantConfig": ".config",
+        "WorkloadConfig": ".config",
+        "config_from_dict": ".configfile",
+        "load_config": ".configfile",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -6,31 +6,33 @@ snapshot record (the XtraBackup equivalent) — everything Slacker's
 migration pipeline operates on.
 """
 
-from .backup import DEFAULT_CHUNK_BYTES, Snapshot
-from .buffer_pool import AccessResult, BufferPool, BufferPoolStats
-from .engine import DatabaseEngine, EngineState, EngineStats, FreezeMode
-from .log import BinaryLog
-from .pages import DEFAULT_ROW_SIZE, TableLayout
-from .shared import SharedProcessEngine, SharedTenant
-from .transactions import Operation, OperationCosts, OpType, Transaction
+from types import MappingProxyType
 
-__all__ = [
-    "AccessResult",
-    "BinaryLog",
-    "BufferPool",
-    "BufferPoolStats",
-    "DEFAULT_CHUNK_BYTES",
-    "DEFAULT_ROW_SIZE",
-    "DatabaseEngine",
-    "EngineState",
-    "EngineStats",
-    "FreezeMode",
-    "Operation",
-    "OperationCosts",
-    "OpType",
-    "SharedProcessEngine",
-    "SharedTenant",
-    "Snapshot",
-    "TableLayout",
-    "Transaction",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "AccessResult": ".buffer_pool",
+        "BinaryLog": ".log",
+        "BufferPool": ".buffer_pool",
+        "BufferPoolStats": ".buffer_pool",
+        "DEFAULT_CHUNK_BYTES": ".backup",
+        "DEFAULT_ROW_SIZE": ".pages",
+        "DatabaseEngine": ".engine",
+        "EngineState": ".engine",
+        "EngineStats": ".engine",
+        "FreezeMode": ".engine",
+        "Operation": ".transactions",
+        "OperationCosts": ".transactions",
+        "OpType": ".transactions",
+        "SharedProcessEngine": ".shared",
+        "SharedTenant": ".shared",
+        "Snapshot": ".backup",
+        "TableLayout": ".pages",
+        "Transaction": ".transactions",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

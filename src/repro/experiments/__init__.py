@@ -5,50 +5,25 @@ number) to the module whose ``run()`` regenerates it; see DESIGN.md for
 the full index and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from . import (
-    ext_source_target,
-    fig5_throttle_sweep,
-    fig6_overload,
-    fig7_tradeoff,
-    fig11_setpoint_sweep,
-    fig12_timeseries,
-    fig13a_dynamic_workload,
-    fig13b_multitenant,
-    stop_and_copy_downtime,
-)
-from .common import DEFAULT_SCALE, scaled_config
-from .harness import (
-    ExperimentOutcome,
-    MigrationSpec,
-    RateChange,
-    TenantOutcome,
-    attach_workload,
-    run_multi_tenant,
-    run_single_tenant,
+from types import MappingProxyType
+
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "DEFAULT_SCALE": ".common",
+        "ExperimentOutcome": ".harness",
+        "MigrationSpec": ".harness",
+        "RateChange": ".harness",
+        "REGISTRY": ".registry",
+        "TenantOutcome": ".harness",
+        "attach_workload": ".harness",
+        "run_multi_tenant": ".harness",
+        "run_single_tenant": ".harness",
+        "scaled_config": ".common",
+    }
 )
 
-#: Experiment id -> driver module with a ``run()`` entry point.
-REGISTRY = {
-    "fig5": fig5_throttle_sweep,
-    "fig6": fig6_overload,
-    "fig7": fig7_tradeoff,
-    "fig11": fig11_setpoint_sweep,
-    "fig12": fig12_timeseries,
-    "fig13a": fig13a_dynamic_workload,
-    "fig13b": fig13b_multitenant,
-    "stop-and-copy": stop_and_copy_downtime,
-    "ext-source-target": ext_source_target,
-}
-
-__all__ = [
-    "DEFAULT_SCALE",
-    "ExperimentOutcome",
-    "MigrationSpec",
-    "RateChange",
-    "REGISTRY",
-    "TenantOutcome",
-    "attach_workload",
-    "run_multi_tenant",
-    "run_single_tenant",
-    "scaled_config",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

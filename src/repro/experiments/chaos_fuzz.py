@@ -37,7 +37,6 @@ fingerprints::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -614,6 +613,8 @@ def _plan_payload(kwargs: dict) -> dict:
 
 
 def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--schedules", type=int, default=100)
     parser.add_argument("--first-schedule", type=int, default=0)

@@ -26,7 +26,6 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
@@ -273,6 +272,8 @@ def run_extended(
 
 
 def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--extended",

@@ -31,7 +31,6 @@ Run standalone::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -442,6 +441,8 @@ def table(records: dict[str, FleetRecord]) -> Table:
 
 
 def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=20)
     parser.add_argument("--tenants", type=int, default=100)

@@ -7,15 +7,22 @@ from their seed.  See ``docs/FAULTS.md`` for the fault model, rollback
 semantics, and the invariants the chaos fuzzer checks.
 """
 
-from .injector import FaultInjector, FaultStats, MessageFate
-from .plan import FaultPlan, MessageFaults, PartitionFault, ScheduledFault
+from types import MappingProxyType
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "MessageFate",
-    "MessageFaults",
-    "PartitionFault",
-    "ScheduledFault",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "FaultInjector": ".injector",
+        "FaultPlan": ".plan",
+        "FaultStats": ".injector",
+        "MessageFate": ".injector",
+        "MessageFaults": ".plan",
+        "PartitionFault": ".plan",
+        "ScheduledFault": ".plan",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -9,6 +9,10 @@ once and derives, per module:
 * a symbol table mapping local names to dotted targets, with relative
   imports resolved against the module's package and re-exports through
   ``__init__.py`` chased to their defining module;
+* for a package, its lazy export table (``_EXPORTS``, a dict literal
+  from each public name to the relative module that defines it, which
+  the package's PEP 562 ``__getattr__`` imports on first use), so a
+  name the ``__init__`` never imports still resolves to its definition;
 * every top-level function, class (with methods and bases), and
   module-level constant assignment;
 * per-function call sites as written (``self._transition``,
@@ -132,6 +136,8 @@ class ModuleInfo:
     #: module-level ``NAME = <expr>`` assignments.
     constants: dict[str, ast.expr] = field(repr=False)
     is_package: bool = False
+    #: a package's ``_EXPORTS`` table: public name -> dotted target.
+    exports: dict[str, str] = field(default_factory=dict)
 
     def iter_functions(self) -> Iterable[FunctionInfo]:
         yield from self.functions.values()
@@ -258,7 +264,7 @@ class ProjectGraph:
                         top = alias.name.split(".")[0]
                         module.symbols[top] = top
             elif isinstance(stmt, ast.ImportFrom):
-                base = self._import_base(stmt, module, package)
+                base = self._import_base(stmt.level, stmt.module, package)
                 if base is None:
                     continue
                 for alias in stmt.names:
@@ -278,27 +284,58 @@ class ProjectGraph:
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         module.constants[target.id] = stmt.value
+                        if target.id == "_EXPORTS" and module.is_package:
+                            module.exports = self._export_table(
+                                stmt.value, package
+                            )
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 if isinstance(stmt.target, ast.Name):
                     module.constants[stmt.target.id] = stmt.value
 
     @staticmethod
-    def _import_base(
-        stmt: ast.ImportFrom, module: ModuleInfo, package: str
-    ) -> Optional[str]:
-        if stmt.level == 0:
-            return stmt.module or ""
+    def _import_base(level: int, name: Optional[str], package: str) -> Optional[str]:
+        """Absolute module of ``from <level dots><name> import ...``."""
+        if level == 0:
+            return name or ""
         # Relative import: level 1 is the module's own package, each
         # further level strips one more component.
         base_parts = package.split(".") if package else []
-        strip = stmt.level - 1
+        strip = level - 1
         if strip > len(base_parts):
             return None  # beyond the root; unresolvable here
         if strip:
             base_parts = base_parts[: len(base_parts) - strip]
-        if stmt.module:
-            base_parts.append(stmt.module)
+        if name:
+            base_parts.append(name)
         return ".".join(base_parts)
+
+    @staticmethod
+    def _export_table(value: ast.expr, package: str) -> dict[str, str]:
+        """Public name -> dotted target of an ``_EXPORTS`` table.
+
+        The table is a dict literal, bare or wrapped in one call
+        (``MappingProxyType({...})``), of string constants such as
+        ``"Environment": ".core"``; any other entry is skipped.
+        """
+        if isinstance(value, ast.Call) and len(value.args) == 1:
+            value = value.args[0]
+        if not isinstance(value, ast.Dict):
+            return {}
+        table: dict[str, str] = {}
+        for key, where in zip(value.keys, value.values):
+            if not (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(where, ast.Constant)
+                and isinstance(where.value, str)
+            ):
+                continue
+            submodule = where.value.lstrip(".")
+            level = len(where.value) - len(submodule)
+            base = ProjectGraph._import_base(level, submodule, package)
+            if base:
+                table[key.value] = f"{base}.{key.value}"
+        return table
 
     def _function_info(
         self, module: ModuleInfo, node: ast.AST, cls: Optional[str]
@@ -375,7 +412,8 @@ class ProjectGraph:
     def canonicalize(self, fq: str, _seen: Optional[frozenset[str]] = None) -> str:
         """Chase re-exports: map ``repro.middleware.Heartbeat`` to
         ``repro.middleware.protocol.Heartbeat`` when the package
-        ``__init__`` merely re-imported it.  Cycle-safe."""
+        ``__init__`` merely re-imported it or lists it in its
+        ``_EXPORTS`` table.  Cycle-safe."""
         seen = _seen or frozenset()
         if fq in seen:
             return fq
@@ -390,12 +428,13 @@ class ProjectGraph:
             module = self.modules[mod_name]
             head = rest[0]
             if (
-                head in module.symbols
-                and head not in module.functions
-                and head not in module.classes
-                and head not in module.constants
+                head in module.functions
+                or head in module.classes
+                or head in module.constants
             ):
-                target = module.symbols[head]
+                return fq
+            target = module.symbols.get(head, module.exports.get(head))
+            if target is not None:
                 tail = ".".join(rest[1:])
                 full = f"{target}.{tail}" if tail else target
                 return self.canonicalize(full, seen | {fq})

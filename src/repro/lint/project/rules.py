@@ -596,7 +596,7 @@ class ObsNameResolution(ProjectRule):
             package = (
                 module.name if module.is_package else module.name.rpartition(".")[0]
             )
-            base = ProjectGraph._import_base(stmt, module, package)
+            base = ProjectGraph._import_base(stmt.level, stmt.module, package)
             if base != names_module.name:
                 continue
             for alias in stmt.names:

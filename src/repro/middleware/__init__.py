@@ -1,60 +1,45 @@
 """Slacker middleware: tenant management, control protocol, nodes, cluster."""
 
-from .cluster import FleetSpec, SlackerCluster
-from .frontend import Frontend, TenantLocation
-from .node import NodeConfig, SlackerNode
-from .protocol import (
-    MESSAGE_REGISTRY,
-    CreateTenantReply,
-    CreateTenantRequest,
-    DeleteTenantReply,
-    DeleteTenantRequest,
-    Heartbeat,
-    MigrateTenantAccept,
-    MigrateTenantComplete,
-    MigrateTenantRequest,
-    ProtocolError,
-    TenantLocationUpdate,
-    decode_message,
-    decode_varint,
-    encode_message,
-    encode_varint,
-    zigzag_decode,
-    zigzag_encode,
-)
-from .tenant import BASE_PORT, Tenant, TenantRegistry, TenantStatus, tenant_port
-from .transport import Endpoint, Envelope, MessageBus
+from types import MappingProxyType
 
-__all__ = [
-    "BASE_PORT",
-    "CreateTenantReply",
-    "CreateTenantRequest",
-    "DeleteTenantReply",
-    "DeleteTenantRequest",
-    "Endpoint",
-    "Envelope",
-    "FleetSpec",
-    "Frontend",
-    "Heartbeat",
-    "MESSAGE_REGISTRY",
-    "MessageBus",
-    "MigrateTenantAccept",
-    "MigrateTenantComplete",
-    "MigrateTenantRequest",
-    "NodeConfig",
-    "ProtocolError",
-    "SlackerCluster",
-    "SlackerNode",
-    "Tenant",
-    "TenantLocation",
-    "TenantLocationUpdate",
-    "TenantRegistry",
-    "TenantStatus",
-    "decode_message",
-    "decode_varint",
-    "encode_message",
-    "encode_varint",
-    "tenant_port",
-    "zigzag_decode",
-    "zigzag_encode",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "BASE_PORT": ".tenant",
+        "CreateTenantReply": ".protocol",
+        "CreateTenantRequest": ".protocol",
+        "DeleteTenantReply": ".protocol",
+        "DeleteTenantRequest": ".protocol",
+        "Endpoint": ".transport",
+        "Envelope": ".transport",
+        "FleetSpec": ".cluster",
+        "Frontend": ".frontend",
+        "Heartbeat": ".protocol",
+        "MESSAGE_REGISTRY": ".protocol",
+        "MessageBus": ".transport",
+        "MigrateTenantAccept": ".protocol",
+        "MigrateTenantComplete": ".protocol",
+        "MigrateTenantRequest": ".protocol",
+        "NodeConfig": ".node",
+        "ProtocolError": ".protocol",
+        "SlackerCluster": ".cluster",
+        "SlackerNode": ".node",
+        "Tenant": ".tenant",
+        "TenantLocation": ".frontend",
+        "TenantLocationUpdate": ".protocol",
+        "TenantRegistry": ".tenant",
+        "TenantStatus": ".tenant",
+        "decode_message": ".protocol",
+        "decode_varint": ".protocol",
+        "encode_message": ".protocol",
+        "encode_varint": ".protocol",
+        "tenant_port": ".tenant",
+        "zigzag_decode": ".protocol",
+        "zigzag_encode": ".protocol",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

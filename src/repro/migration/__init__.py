@@ -5,44 +5,38 @@ Live and fluid migration are one chunked pipeline
 shared-process daemon; stop-and-copy, dump-reimport and on-demand are
 the baselines."""
 
-from .controller import ControllerConfig, DynamicThrottleController, LatencyController
-from .fluid import (
-    ChunkMap,
-    ChunkState,
-    FluidMigration,
-    FluidRouter,
-    MigrationPhase,
-    check_fluid_invariants,
-)
-from .lease import Lease, LeaseManager, LeaseService
-from .on_demand import OnDemandMigration, PartialReplicaEngine
-from .result import MigrationAborted, MigrationResult
-from .slack import AdditiveSlackModel, EmpiricalSlackEstimator, RateLatencySample
-from .stop_and_copy import DumpReimportMigration, StopAndCopyMigration
-from .throttle import Throttle, ThrottleStats
+from types import MappingProxyType
 
-__all__ = [
-    "AdditiveSlackModel",
-    "ChunkMap",
-    "ChunkState",
-    "ControllerConfig",
-    "DumpReimportMigration",
-    "DynamicThrottleController",
-    "EmpiricalSlackEstimator",
-    "FluidMigration",
-    "FluidRouter",
-    "LatencyController",
-    "check_fluid_invariants",
-    "Lease",
-    "LeaseManager",
-    "LeaseService",
-    "MigrationAborted",
-    "MigrationPhase",
-    "MigrationResult",
-    "OnDemandMigration",
-    "PartialReplicaEngine",
-    "RateLatencySample",
-    "StopAndCopyMigration",
-    "Throttle",
-    "ThrottleStats",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "AdditiveSlackModel": ".slack",
+        "ChunkMap": ".fluid",
+        "ChunkState": ".fluid",
+        "ControllerConfig": ".controller",
+        "DumpReimportMigration": ".stop_and_copy",
+        "DynamicThrottleController": ".controller",
+        "EmpiricalSlackEstimator": ".slack",
+        "FluidMigration": ".fluid",
+        "FluidRouter": ".fluid",
+        "LatencyController": ".controller",
+        "check_fluid_invariants": ".fluid",
+        "Lease": ".lease",
+        "LeaseManager": ".lease",
+        "LeaseService": ".lease",
+        "MigrationAborted": ".result",
+        "MigrationPhase": ".fluid",
+        "MigrationResult": ".result",
+        "OnDemandMigration": ".on_demand",
+        "PartialReplicaEngine": ".on_demand",
+        "RateLatencySample": ".slack",
+        "StopAndCopyMigration": ".stop_and_copy",
+        "Throttle": ".throttle",
+        "ThrottleStats": ".throttle",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -11,20 +11,25 @@ See ``docs/OBSERVABILITY.md``.  The public surface:
   ``python -m repro.obs summarize``.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .report import RunReport, config_fingerprint
-from .runtime import Observability
-from .tracer import Span, Tracer, read_jsonl
+from types import MappingProxyType
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Observability",
-    "RunReport",
-    "Span",
-    "Tracer",
-    "config_fingerprint",
-    "read_jsonl",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "Counter": ".metrics",
+        "Gauge": ".metrics",
+        "Histogram": ".metrics",
+        "MetricsRegistry": ".metrics",
+        "Observability": ".runtime",
+        "RunReport": ".report",
+        "Span": ".tracer",
+        "Tracer": ".tracer",
+        "config_fingerprint": ".report",
+        "read_jsonl": ".tracer",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

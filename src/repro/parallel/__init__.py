@@ -12,23 +12,27 @@ from worker entry points — is machine-enforced by slackerlint rule
 SLK008 rather than left as convention.
 """
 
-from .cache import ResultCache, code_fingerprint, point_key
-from .pool import WorkerPool
-from .record import PointRecord, TenantRecord
-from .runner import SweepPoint, SweepRunner, resolve_jobs
-from .tasks import MULTI_TENANT, SINGLE_TENANT, resolve_task
+from types import MappingProxyType
 
-__all__ = [
-    "MULTI_TENANT",
-    "PointRecord",
-    "ResultCache",
-    "SINGLE_TENANT",
-    "SweepPoint",
-    "SweepRunner",
-    "TenantRecord",
-    "WorkerPool",
-    "code_fingerprint",
-    "point_key",
-    "resolve_jobs",
-    "resolve_task",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "MULTI_TENANT": ".tasks",
+        "PointRecord": ".record",
+        "ResultCache": ".cache",
+        "SINGLE_TENANT": ".tasks",
+        "SweepPoint": ".runner",
+        "SweepRunner": ".runner",
+        "TenantRecord": ".record",
+        "WorkerPool": ".pool",
+        "code_fingerprint": ".cache",
+        "point_key": ".cache",
+        "resolve_jobs": ".runner",
+        "resolve_task": ".tasks",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -11,9 +11,13 @@ dominates once the simulations themselves get fast.
 
 * workers are spawned **once**, lazily on first dispatch, from a
   ``forkserver`` context — the forkserver preloads
-  :mod:`repro.parallel.tasks` (pulling in the simulation kernel and
-  the experiment harness), so every worker forks warm from an
-  interpreter that has already paid the import cost;
+  :mod:`repro.parallel.tasks`, which pulls in the simulation kernel,
+  the layers a point runs and the experiment harness, so every worker
+  forks warm from an interpreter that has already paid that import
+  cost.  The package ``__init__``s import nothing eagerly, so the
+  preload leaves out the figure drivers and :mod:`repro.analysis`; a
+  task path naming a driver (``repro.experiments.fleet_sweep:...``)
+  imports it in the worker on that worker's first such task;
 * subsequent sweeps reuse the same processes; there is no per-sweep
   executor teardown barrier;
 * the pool is an explicit object handed down from the driver's

@@ -8,43 +8,37 @@ wave planner/executor that runs concurrent migrations under per-node
 slack budgets (docs/FLEET.md).
 """
 
-from .budget import BudgetEvent, BudgetReservation, SlackBudgetLedger
-from .costs import CostEstimate, CostParameters, MigrationCostBenefit
-from .decisions import DrainReport, PlacementDecision, PlacementStats
-from .executor import WaveExecutor, WavePlanner
-from .manager import PlacementManager
-from .monitor import LoadMonitor, NodeLoad, TenantLoad
-from .policy import (
-    ConsolidationChooser,
-    GreedyReliefChooser,
-    HotspotDetector,
-    LatencyHotspotDetector,
-    MigrationProposal,
-    PlacementChooser,
-    UtilizationHotspotDetector,
+from types import MappingProxyType
+
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "BudgetEvent": ".budget",
+        "BudgetReservation": ".budget",
+        "ConsolidationChooser": ".policy",
+        "CostEstimate": ".costs",
+        "CostParameters": ".costs",
+        "DrainReport": ".decisions",
+        "MigrationCostBenefit": ".costs",
+        "GreedyReliefChooser": ".policy",
+        "HotspotDetector": ".policy",
+        "LatencyHotspotDetector": ".policy",
+        "LoadMonitor": ".monitor",
+        "MigrationProposal": ".policy",
+        "NodeLoad": ".monitor",
+        "PlacementChooser": ".policy",
+        "PlacementDecision": ".decisions",
+        "PlacementManager": ".manager",
+        "PlacementStats": ".decisions",
+        "SlackBudgetLedger": ".budget",
+        "TenantLoad": ".monitor",
+        "UtilizationHotspotDetector": ".policy",
+        "WaveExecutor": ".executor",
+        "WavePlanner": ".executor",
+    }
 )
 
-__all__ = [
-    "BudgetEvent",
-    "BudgetReservation",
-    "ConsolidationChooser",
-    "CostEstimate",
-    "CostParameters",
-    "DrainReport",
-    "MigrationCostBenefit",
-    "GreedyReliefChooser",
-    "HotspotDetector",
-    "LatencyHotspotDetector",
-    "LoadMonitor",
-    "MigrationProposal",
-    "NodeLoad",
-    "PlacementChooser",
-    "PlacementDecision",
-    "PlacementManager",
-    "PlacementStats",
-    "SlackBudgetLedger",
-    "TenantLoad",
-    "UtilizationHotspotDetector",
-    "WaveExecutor",
-    "WavePlanner",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

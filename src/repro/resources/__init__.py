@@ -1,43 +1,36 @@
 """Hardware resource models: disk, CPU, network links, and servers."""
 
-from .cpu import Cpu, CpuParams, CpuStats
-from .disk import Disk, DiskParams, DiskStats
-from .network import GIGABIT_BANDWIDTH, NetworkLink, NetworkParams, NetworkStats
-from .server import Server, ServerParams
-from .units import (
-    GB,
-    KB,
-    MB,
-    MILLIS,
-    PAGE_SIZE,
-    from_millis,
-    mb_per_sec,
-    to_mb,
-    to_mb_per_sec,
-    to_millis,
+from types import MappingProxyType
+
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "Cpu": ".cpu",
+        "CpuParams": ".cpu",
+        "CpuStats": ".cpu",
+        "Disk": ".disk",
+        "DiskParams": ".disk",
+        "DiskStats": ".disk",
+        "GB": ".units",
+        "GIGABIT_BANDWIDTH": ".network",
+        "KB": ".units",
+        "MB": ".units",
+        "MILLIS": ".units",
+        "NetworkLink": ".network",
+        "NetworkParams": ".network",
+        "NetworkStats": ".network",
+        "PAGE_SIZE": ".units",
+        "Server": ".server",
+        "ServerParams": ".server",
+        "from_millis": ".units",
+        "mb_per_sec": ".units",
+        "to_mb": ".units",
+        "to_mb_per_sec": ".units",
+        "to_millis": ".units",
+    }
 )
 
-__all__ = [
-    "Cpu",
-    "CpuParams",
-    "CpuStats",
-    "Disk",
-    "DiskParams",
-    "DiskStats",
-    "GB",
-    "GIGABIT_BANDWIDTH",
-    "KB",
-    "MB",
-    "MILLIS",
-    "NetworkLink",
-    "NetworkParams",
-    "NetworkStats",
-    "PAGE_SIZE",
-    "Server",
-    "ServerParams",
-    "from_millis",
-    "mb_per_sec",
-    "to_mb",
-    "to_mb_per_sec",
-    "to_millis",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -6,44 +6,37 @@ like engine, workloads, Slacker) is built out of its processes, events,
 and resources.
 """
 
-from .core import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
-from .resources import Container, Request, Resource, Store
-from .rng import RandomStreams, default_rng, derive_seed
-from .timers import PeriodicTicker
-from .trace import Series, Trace, float_sum, sliding_window_average
+from types import MappingProxyType
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Container",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "PeriodicTicker",
-    "Process",
-    "RandomStreams",
-    "default_rng",
-    "Request",
-    "Resource",
-    "Series",
-    "SimulationError",
-    "StopSimulation",
-    "Store",
-    "Timeout",
-    "Trace",
-    "derive_seed",
-    "float_sum",
-    "sliding_window_average",
-]
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "AllOf": ".core",
+        "AnyOf": ".core",
+        "Condition": ".core",
+        "Container": ".resources",
+        "Environment": ".core",
+        "Event": ".core",
+        "Interrupt": ".core",
+        "PeriodicTicker": ".timers",
+        "Process": ".core",
+        "RandomStreams": ".rng",
+        "default_rng": ".rng",
+        "Request": ".resources",
+        "Resource": ".resources",
+        "Series": ".trace",
+        "SimulationError": ".core",
+        "StopSimulation": ".core",
+        "Store": ".resources",
+        "Timeout": ".core",
+        "Trace": ".trace",
+        "derive_seed": ".rng",
+        "float_sum": ".trace",
+        "sliding_window_average": ".trace",
+    }
+)
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

@@ -4,67 +4,43 @@ Key distributions, operation mixes, transaction factories, open
 (Poisson) and closed arrival processes, and MPL-limited clients.
 """
 
-from .client import DEFAULT_MPL, BenchmarkClient, ClientStats, ClosedBenchmarkClient
-from .distributions import (
-    HotspotChooser,
-    KeyChooser,
-    LatestChooser,
-    UniformChooser,
-    ZipfianChooser,
-)
-from .generator import (
-    DEFAULT_OPS_PER_TXN,
-    ArrivalProcess,
-    BurstModulator,
-    FixedIntervalArrivals,
-    MarkovModulatedArrivals,
-    PoissonArrivals,
-    TransactionFactory,
-)
-from .replay import (
-    RecordingArrivals,
-    ReplayArrivals,
-    load_trace,
-    save_trace,
-)
-from .mix import (
-    SLACKER_MIX,
-    YCSB_A,
-    YCSB_B,
-    YCSB_C,
-    YCSB_D,
-    YCSB_E,
-    YCSB_F,
-    OperationMix,
+from types import MappingProxyType
+
+from .. import _lazy_exports
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = MappingProxyType(
+    {
+        "ArrivalProcess": ".generator",
+        "BenchmarkClient": ".client",
+        "BurstModulator": ".generator",
+        "ClientStats": ".client",
+        "ClosedBenchmarkClient": ".client",
+        "DEFAULT_MPL": ".client",
+        "DEFAULT_OPS_PER_TXN": ".generator",
+        "FixedIntervalArrivals": ".generator",
+        "HotspotChooser": ".distributions",
+        "KeyChooser": ".distributions",
+        "MarkovModulatedArrivals": ".generator",
+        "LatestChooser": ".distributions",
+        "OperationMix": ".mix",
+        "PoissonArrivals": ".generator",
+        "RecordingArrivals": ".replay",
+        "ReplayArrivals": ".replay",
+        "SLACKER_MIX": ".mix",
+        "TransactionFactory": ".generator",
+        "UniformChooser": ".distributions",
+        "YCSB_A": ".mix",
+        "YCSB_B": ".mix",
+        "YCSB_C": ".mix",
+        "YCSB_D": ".mix",
+        "YCSB_E": ".mix",
+        "YCSB_F": ".mix",
+        "ZipfianChooser": ".distributions",
+        "load_trace": ".replay",
+        "save_trace": ".replay",
+    }
 )
 
-__all__ = [
-    "ArrivalProcess",
-    "BenchmarkClient",
-    "BurstModulator",
-    "ClientStats",
-    "ClosedBenchmarkClient",
-    "DEFAULT_MPL",
-    "DEFAULT_OPS_PER_TXN",
-    "FixedIntervalArrivals",
-    "HotspotChooser",
-    "KeyChooser",
-    "MarkovModulatedArrivals",
-    "LatestChooser",
-    "OperationMix",
-    "PoissonArrivals",
-    "RecordingArrivals",
-    "ReplayArrivals",
-    "SLACKER_MIX",
-    "TransactionFactory",
-    "UniformChooser",
-    "YCSB_A",
-    "YCSB_B",
-    "YCSB_C",
-    "YCSB_D",
-    "YCSB_E",
-    "YCSB_F",
-    "ZipfianChooser",
-    "load_trace",
-    "save_trace",
-]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
+__all__ = tuple(_EXPORTS)

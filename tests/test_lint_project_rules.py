@@ -68,6 +68,39 @@ class TestSLK101SimBlocking:
             findings[0].message
         )
 
+    def test_helper_reached_through_a_lazy_export_table(self, tmp_path):
+        """A package that exports through ``_EXPORTS`` and a PEP 562
+        ``__getattr__`` imports nothing, yet the call still resolves."""
+        findings = project_findings(
+            tmp_path,
+            {
+                "repro/__init__.py": "",
+                "repro/util/__init__.py": """
+                from types import MappingProxyType
+
+                _EXPORTS = MappingProxyType({"helper": ".clock"})
+                """,
+                "repro/util/clock.py": """
+                import time
+
+                def helper():
+                    time.sleep(0.1)
+                """,
+                "repro/sim.py": """
+                from .util import helper
+
+                def process(env):
+                    yield 1
+                    helper()
+                """,
+            },
+            rule="SLK101",
+        )
+        assert len(findings) == 1
+        assert "process() -> repro.util.clock.helper() -> time.sleep()" in (
+            findings[0].message
+        )
+
     def test_direct_wall_clock_read_in_generator(self, tmp_path):
         findings = project_findings(
             tmp_path,

@@ -130,6 +130,30 @@ class TestReExports:
         assert graph.canonicalize("pkg.thing") == "pkg.impl.thing"
 
 
+    def test_lazy_export_table_is_chased(self, tmp_path):
+        graph = build_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": """
+                from types import MappingProxyType
+
+                _EXPORTS = MappingProxyType(
+                    {"Widget": ".impl", "helper": ".sub.tools", "bad": 3}
+                )
+                """,
+                "pkg/impl.py": "class Widget:\n    pass\n",
+                "pkg/sub/__init__.py": '_EXPORTS = {"tool": "..impl"}\n',
+                "pkg/sub/tools.py": "def helper():\n    pass\n",
+                "user.py": "from pkg import Widget, helper\nimport pkg.sub\n",
+            },
+        )
+        user = graph.modules["user"]
+        assert graph.resolve(user, "Widget") == "pkg.impl.Widget"
+        assert graph.resolve(user, "helper") == "pkg.sub.tools.helper"
+        assert graph.canonicalize("pkg.sub.tool") == "pkg.impl.tool"
+        assert graph.canonicalize("pkg.bad") == "pkg.bad"
+
+
 class TestFunctionsAndCalls:
     def test_generator_detection_excludes_nested_defs(self, tmp_path):
         graph = build_tree(
