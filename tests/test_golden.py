@@ -25,7 +25,13 @@ if __name__ == "__main__":
 
 import pytest
 
-from repro.experiments import REGISTRY, chaos_fuzz, fig7_tradeoff, fleet_sweep
+from repro.experiments import (
+    REGISTRY,
+    ablations,
+    chaos_fuzz,
+    fig7_tradeoff,
+    fleet_sweep,
+)
 from repro.experiments.fingerprint import trajectory_fingerprint
 from repro.parallel.tasks import execute
 
@@ -34,6 +40,16 @@ PLANS = Path(__file__).with_name("chaos_plans")
 
 #: Database scale of the driver entries (shape-preserving, ~0.1-1.5 s each).
 SCALE = 0.1
+
+#: Database scale of the ablation entries (~0.03-0.2 s each).
+ABLATION_SCALE = 0.25
+
+#: The ablation drivers pinned by the figures they derive.
+ABLATIONS = {
+    "pid-forms": ablations.run_pid_forms,
+    "window-sizes": ablations.run_window_sizes,
+    "open-vs-closed": ablations.run_open_vs_closed,
+}
 
 
 def _driver(name: str):
@@ -72,6 +88,10 @@ def _entries() -> dict:
     entries["fig7-extended"] = lambda: fig7_tradeoff.run_extended(
         scale=SCALE
     ).fingerprint()
+    for name, run in ABLATIONS.items():
+        entries[f"ablation/{name}"] = lambda run=run: trajectory_fingerprint(
+            {}, facts=run(scale=ABLATION_SCALE)
+        )
     entries["fleet-drain"] = _fleet_drain
     for point in chaos_fuzz.plan_points(str(PLANS)):
         entries[f"chaos/{point.label}"] = lambda point=point: execute(
@@ -89,7 +109,7 @@ def _golden() -> dict:
 
 def test_golden_file_names_every_entry():
     assert sorted(_golden()) == sorted(ENTRIES)
-    assert len(ENTRIES) == 25
+    assert len(ENTRIES) == 28
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
