@@ -50,7 +50,7 @@ def run_on_demand(push_rate_mb, data_mb=256, seed=42):
     client.start()
     throttle = Throttle(env, rate=mb_per_sec(push_rate_mb))
     migration = OnDemandMigration(
-        env, engine, dst, push_throttle=throttle,
+        env, engine, dst, throttle=throttle,
         on_handover=lambda t: setattr(handle, "engine", t),
     )
 

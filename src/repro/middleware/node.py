@@ -51,7 +51,7 @@ from ..db.pages import TableLayout
 from ..migration.controller import ControllerConfig, DynamicThrottleController
 from ..migration.fluid import DEFAULT_NUM_CHUNKS, FluidMigration
 from ..migration.on_demand import OnDemandMigration
-from ..migration.result import MigrationAborted, MigrationResult
+from ..migration.result import MigrationAborted, MigrationEngine, MigrationResult
 from ..migration.stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from ..migration.throttle import Throttle
 from ..resources.server import Server
@@ -78,11 +78,20 @@ from .transport import DeliveryError, MessageBus
 
 __all__ = ["MIGRATION_METHODS", "NodeConfig", "SlackerNode"]
 
-#: Data planes :meth:`SlackerNode.migrate_tenant` can run.
-MIGRATION_METHODS = ("live", "fluid", "on-demand", "stop-and-copy", "dump-reimport")
+#: Method -> the migration engine class that runs it.
+_ENGINES = {
+    method: engine
+    for engine in (
+        FluidMigration,
+        OnDemandMigration,
+        StopAndCopyMigration,
+        DumpReimportMigration,
+    )
+    for method in engine.methods
+}
 
-#: Methods that copy at full speed: they ignore any rate asked of them.
-_FULL_SPEED_METHODS = ("stop-and-copy", "dump-reimport")
+#: Data planes :meth:`SlackerNode.migrate_tenant` can run.
+MIGRATION_METHODS = tuple(_ENGINES)
 
 
 @dataclass(frozen=True)
@@ -215,9 +224,8 @@ class SlackerNode:
         #: tenant_id -> fencing token of this node's in-flight
         #: outgoing migration.
         self._lease_tokens: dict[int, int] = {}
-        #: tenant_id -> in-flight *outgoing* migration engine (any
-        #: method: all share the try_abort/target_server surface).
-        self.active_migrations: dict[int, object] = {}
+        #: tenant_id -> in-flight *outgoing* migration engine.
+        self.active_migrations: dict[int, MigrationEngine] = {}
         #: Most recent outgoing live or fluid migration (kept past
         #: completion so chaos harnesses can audit its invariants).
         self.last_fluid_migration: Optional[FluidMigration] = None
@@ -372,17 +380,18 @@ class SlackerNode:
         abort, ...), in which case the tenant is back to plain
         ``ACTIVE`` at the source.
         """
-        if method not in MIGRATION_METHODS:
+        engine_class = _ENGINES.get(method)
+        if engine_class is None:
             raise ValueError(
                 f"method must be one of {MIGRATION_METHODS}, got {method!r}"
             )
         if setpoint is not None and fixed_rate is not None:
             raise ValueError("give at most one of setpoint or fixed_rate")
-        if setpoint is None and fixed_rate is None and method in ("live", "fluid"):
+        if setpoint is None and fixed_rate is None and engine_class.needs_rate:
             raise ValueError("give exactly one of setpoint or fixed_rate")
         if chunks is not None and chunks < 1:
             raise ValueError(f"chunks must be >= 1, got {chunks}")
-        if method in _FULL_SPEED_METHODS:
+        if engine_class.full_speed:
             setpoint = fixed_rate = None
         chunks = (chunks or DEFAULT_NUM_CHUNKS) if method == "fluid" else 0
         if not self.alive:
@@ -447,52 +456,29 @@ class SlackerNode:
         if setpoint is not None or fixed_rate is not None:
             throttle = Throttle(self.env, rate=fixed_rate or 0.0)
         source_engine = tenant.engine
-        hooks = dict(
+        # Live migration is the one-chunk case of the fluid pipeline.
+        migration = engine_class(
+            self.env,
+            source_engine,
+            peer.server,
+            throttle,
+            chunk_bytes=self.config.chunk_bytes,
+            num_chunks=chunks or 1,
+            token=token,
             on_handover=lambda engine: self._handover(tenant, peer, engine),
             fence=fence,
             obs=self.obs,
         )
-        chunked = False
-        if method in ("live", "fluid"):
-            # Live migration is the one-chunk case of the same pipeline.
-            migration = FluidMigration(
-                self.env,
-                source_engine,
-                peer.server,
-                throttle,
-                num_chunks=chunks or 1,
-                chunk_bytes=self.config.chunk_bytes,
-                token=token,
-                **hooks,
-            )
+        chunked = migration.chunked
+        if isinstance(migration, FluidMigration):
             self.last_fluid_migration = migration
-            chunked = migration.chunked
-            if chunked:
-                migration.on_chunk_flip = self._chunk_flip_notifier(
-                    migration, tenant_id, target, token
-                )
-                # Dual-resident window opens: requests route per chunk.
-                tenant.engine = migration.router
-                self.frontend.begin_chunked(
-                    tenant_id, migration.num_chunks, self.name
-                )
-        elif method == "on-demand":
-            migration = OnDemandMigration(
-                self.env, source_engine, peer.server, throttle, **hooks
+        if chunked:
+            migration.on_chunk_flip = self._chunk_flip_notifier(
+                migration, tenant_id, target, token
             )
-        else:
-            engine_cls = {
-                "stop-and-copy": StopAndCopyMigration,
-                "dump-reimport": DumpReimportMigration,
-            }[method]
-            migration = engine_cls(
-                self.env,
-                source_engine,
-                peer.server,
-                throttle,
-                chunk_bytes=self.config.chunk_bytes,
-                **hooks,
-            )
+            # Dual-resident window opens: requests route per chunk.
+            tenant.engine = migration.router
+            self.frontend.begin_chunked(tenant_id, migration.num_chunks, self.name)
         self.active_migrations[tenant_id] = migration
         migration_proc = self.env.process(migration.run())
         renew_proc = None

@@ -59,13 +59,13 @@ import enum
 from collections import deque
 from typing import Callable, Generator, Optional
 
-from ..db.backup import DEFAULT_CHUNK_BYTES, Snapshot
+from ..db.backup import Snapshot
 from ..db.engine import DatabaseEngine, EngineState, FreezeMode
 from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import KB, PAGE_SIZE
 from ..simulation import Container, Environment, Event, Interrupt, Process, Request
-from .result import MigrationAborted, MigrationResult
+from .result import MigrationEngine, MigrationResult
 from .throttle import Throttle
 
 __all__ = [
@@ -399,8 +399,11 @@ class FluidRouter:
                 self.writes_to_target += count
 
 
-class FluidMigration:
+class FluidMigration(MigrationEngine):
     """One migration of a tenant engine, chunk by chunk (live: one chunk)."""
+
+    methods = ("live", "fluid")
+    needs_rate = True
 
     def __init__(
         self,
@@ -408,39 +411,17 @@ class FluidMigration:
         source: DatabaseEngine,
         target_server: Server,
         throttle: Throttle,
-        num_chunks: int = 1,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
+        *,
         on_chunk_flip=None,
-        fence: Optional[Callable[[], bool]] = None,
-        token: int = 0,
-        obs=None,
+        **options,
     ):
-        if num_chunks < 1:
-            raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-        self.env = env
-        self.source = source
-        self.target_server = target_server
-        self.throttle = throttle
-        self.chunk_bytes = chunk_bytes
-        self.on_handover = on_handover
+        super().__init__(env, source, target_server, throttle, **options)
         #: Optional generator function ``(chunk_index, delta_bytes)``
         #: run on the migration path after each flip — the node uses it
         #: to send the ``ChunkHandover`` frame and update the frontend.
         self.on_chunk_flip = on_chunk_flip
-        #: Optional fencing gate, consulted before every chunk's freeze.
-        #: Returning ``False`` aborts with a full rollback: a node whose
-        #: ownership lease has lapsed must never hand a chunk over.
-        self.fence = fence
-        #: Fencing token every ownership flip commits under.
-        self.token = token
-        #: Optional :class:`~repro.obs.Observability`; ``None`` keeps
-        #: phase transitions free of span/metric work.
-        self.obs = obs
         self.chunk_map = ChunkMap(
-            source.layout.num_pages, min(num_chunks, source.layout.num_pages)
+            source.layout.num_pages, min(self.num_chunks, source.layout.num_pages)
         )
         self.num_chunks = self.chunk_map.num_chunks
         #: More than one chunk: the router serves the tenant while the
@@ -451,27 +432,17 @@ class FluidMigration:
         #: (time, phase) log of every transition, for post-mortems.
         self.phase_history: list[tuple[float, MigrationPhase]] = []
         self.chunk_states = [ChunkState.PENDING] * self.num_chunks
-        self.target: Optional[DatabaseEngine] = None
-        #: True once an abort has rolled state back (every chunk
-        #: source-owned and thawed, target discarded).
-        self.rolled_back = False
         #: Writes the abort path shipped back from the target (none are
         #: lost: they land in the source's data version again).
         self.reclaimed_writes = 0
         #: Per chunk, the log mark (see :meth:`_log_mark`) the target
         #: has applied up to.
         self._applied = [0] * self.num_chunks
-        self._abort_reason: Optional[str] = None
-        self._process: Optional[Process] = None
         #: Processes an abort interrupts: each chunk's producer, prepare
         #: and delta rounds (never one per snapshot piece).
         self._children: list[Process] = []
         #: The chunk stream being copied, which an abort withdraws.
         self._stream: Optional[_SnapshotStream] = None
-
-    @property
-    def abort_reason(self) -> Optional[str]:
-        return self._abort_reason
 
     def _transition(self, phase: MigrationPhase) -> None:
         if phase not in _TRANSITIONS[self.phase]:
@@ -494,24 +465,14 @@ class FluidMigration:
 
     # -- abort machinery ---------------------------------------------------
 
-    def try_abort(self, reason: str = "cancelled") -> bool:
-        """Request an abort; returns whether it was accepted.
+    def _past_no_return(self) -> bool:
+        """Aborts are accepted any time before the last chunk freezes.
 
-        Accepted any time before the last chunk freezes: the run process
-        is interrupted at its current instant (even while blocked on a
-        fully-closed throttle), rolls the tenant back to a consistent
-        source-resident state, and raises :class:`MigrationAborted`.
-        Refused (returns ``False``) during ``HANDOVER`` and after
-        ``COMPLETE``/``ABORTED``.
+        Even while the run is blocked on a fully-closed throttle, the
+        tenant rolls back to a consistent source-resident state.
+        Refused during ``HANDOVER`` and after ``COMPLETE``/``ABORTED``.
         """
-        if self.phase in _NO_ABORT_PHASES:
-            return False
-        if self._abort_reason is None:
-            self._abort_reason = reason
-        proc = self._process
-        if proc is not None and proc.is_alive and proc is not self.env.active_process:
-            proc.interrupt(reason)
-        return True
+        return self.phase in _NO_ABORT_PHASES
 
     def abort(self, reason: str = "operator cancelled") -> None:
         """Cancel before the last chunk freezes; raises from then on.
@@ -524,17 +485,6 @@ class FluidMigration:
             raise RuntimeError(
                 f"cannot abort a migration in phase {self.phase.value}"
             )
-
-    def _check_abort(self) -> None:
-        if self._abort_reason is not None and self.phase is not MigrationPhase.ABORTED:
-            self._rollback()
-            raise MigrationAborted(self._abort_reason)
-
-    def _fail(self, reason: str) -> None:
-        """Roll back and raise: a fencing check refused the handover."""
-        self._abort_reason = self._abort_reason or reason
-        self._rollback()
-        raise MigrationAborted(self._abort_reason)
 
     def _rollback(self) -> None:
         """Restore an all-source-owned, unfrozen state (synchronous)."""
@@ -615,17 +565,6 @@ class FluidMigration:
             return (yield from gen)
         except Interrupt:
             return None
-
-    def _make_target(self) -> DatabaseEngine:
-        return DatabaseEngine(
-            self.env,
-            self.target_server,
-            self.source.layout,
-            name=f"{self.source.name}@{self.target_server.name}",
-            buffer_bytes=self.source.buffer_pool.capacity_pages
-            * self.source.buffer_pool.page_size,
-            costs=self.source.costs,
-        )
 
     def _copy_chunk(self, chunk: int) -> Generator:
         """Stream one chunk's pages to the target; returns the snapshot.
@@ -754,8 +693,7 @@ class FluidMigration:
                 # Fence: the last instant ownership can be checked
                 # before the chunk freezes.  A lapsed lease means
                 # another node may already own the tenant.
-                if self.fence is not None and not self.fence():
-                    self._fail("fencing check failed at handover")
+                self._fence_gate("handover")
                 # An abort accepted up to here, the fence included,
                 # rolls back; from the last chunk's freeze on none is.
                 self._check_abort()
@@ -772,7 +710,7 @@ class FluidMigration:
                         (yield self._spawn(self._delta_round(chunk, throttled=False)))
                     )
                     if not self.chunk_map.flip_chunk(chunk, "target", token=self.token):
-                        self._fail("stale fencing token at chunk flip")
+                        raise self._abort("stale fencing token at chunk flip")
                 except BaseException:
                     # Never leave a chunk frozen, whatever went wrong.
                     self._thaw(chunk)
@@ -788,17 +726,12 @@ class FluidMigration:
                 if self.on_chunk_flip is not None:
                     yield from self.on_chunk_flip(chunk, rounds[-1])
         except Interrupt as interrupt:
-            reason = self._abort_reason or str(interrupt.cause or "interrupted")
-            self._abort_reason = reason
-            self._rollback()
-            raise MigrationAborted(reason) from None
+            raise self._interrupted(interrupt) from None
 
         # Every chunk is target-owned: retire the source.  The target
         # takes over its data version along with its writers.
-        if self.on_handover is not None:
-            self.on_handover(self.target)
         self.target.data_version += self.source.data_version
-        self.source.stop(successor=self.target)
+        self._hand_over(self.target)
         self._transition(MigrationPhase.COMPLETE)
         return MigrationResult(
             kind="fluid" if self.chunked else "live",

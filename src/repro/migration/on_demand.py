@@ -24,15 +24,13 @@ This module implements that baseline so the claim can be measured:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional
+from typing import Generator, Iterable, Optional
 
 from ..db.engine import DatabaseEngine
 from ..db.transactions import Transaction
-from ..resources.server import Server
 from ..resources.units import MB, PAGE_SIZE
-from ..simulation import Environment, Interrupt, Process
-from .result import MigrationAborted, MigrationResult
-from .throttle import Throttle
+from ..simulation import Interrupt
+from .result import MigrationEngine, MigrationResult
 
 __all__ = ["PartialReplicaEngine", "OnDemandMigration"]
 
@@ -95,67 +93,19 @@ class PartialReplicaEngine(DatabaseEngine):
         yield from super()._access_page(txn, page_id, write)
 
 
-class OnDemandMigration:
+class OnDemandMigration(MigrationEngine):
     """Wireframe → immediate switch → pulls + throttled background push.
 
     Abortable until the ownership switch: only the wireframe has moved
     by then, so the source simply keeps serving.  From the switch on
-    the cold target is authoritative and aborts are refused.
+    the cold target is authoritative and aborts are refused.  The
+    throttle, if any, meters the background push.
     """
 
     kind = "on-demand"
-
-    def __init__(
-        self,
-        env: Environment,
-        source: DatabaseEngine,
-        target_server: Server,
-        push_throttle: Optional[Throttle] = None,
-        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
-        fence: Optional[Callable[[], bool]] = None,
-        obs=None,
-    ):
-        self.env = env
-        self.source = source
-        self.target_server = target_server
-        self.push_throttle = push_throttle
-        self.on_handover = on_handover
-        #: Fencing gate, consulted immediately before the switch.
-        self.fence = fence
-        self.obs = obs
-        self.target: Optional[PartialReplicaEngine] = None
-        #: When ownership switched to the target (the point of no return).
-        self.switched_at: Optional[float] = None
-        self.rolled_back = False
-        self._abort_reason: Optional[str] = None
-        self._process: Optional[Process] = None
-
-    def try_abort(self, reason: str = "cancelled") -> bool:
-        """Request an abort; accepted only before the ownership switch."""
-        if self.switched_at is not None or self.rolled_back:
-            return False
-        if self._abort_reason is None:
-            self._abort_reason = reason
-        proc = self._process
-        if proc is not None and proc.is_alive and proc is not self.env.active_process:
-            proc.interrupt(reason)
-        return True
-
-    def _abort(self, reason: str) -> MigrationAborted:
-        self.rolled_back = True
-        return MigrationAborted(reason)
-
-    def _make_target(self) -> PartialReplicaEngine:
-        return PartialReplicaEngine(
-            self.env,
-            self.target_server,
-            self.source.layout,
-            name=f"{self.source.name}@{self.target_server.name}",
-            buffer_bytes=self.source.buffer_pool.capacity_pages
-            * self.source.buffer_pool.page_size,
-            costs=self.source.costs,
-            source=self.source,
-        )
+    methods = (kind,)
+    #: When ownership switched to the target (the point of no return).
+    switched_at: Optional[float] = None
 
     def _background_pusher(self, target: PartialReplicaEngine) -> Generator:
         """Stream not-yet-present pages, oldest page id first."""
@@ -164,8 +114,8 @@ class OnDemandMigration:
         for page_id in range(target.layout.num_pages):
             if page_id in target.present:
                 continue
-            if self.push_throttle is not None:
-                yield from self.push_throttle.acquire(PAGE_SIZE)
+            if self.throttle is not None:
+                yield from self.throttle.acquire(PAGE_SIZE)
             if page_id in target.present:
                 # A pull delivered the page while we were queued on the
                 # throttle: re-check *before* paying the source read and
@@ -202,25 +152,19 @@ class OnDemandMigration:
                     WIREFRAME_BYTES, sequential=True, stream=stream
                 )
         except Interrupt as interrupt:
-            self._abort_reason = self._abort_reason or str(
-                interrupt.cause or "interrupted"
-            )
-        if self._abort_reason is not None:
-            raise self._abort(self._abort_reason)
-        if self.fence is not None and not self.fence():
-            raise self._abort("fencing check failed at ownership switch")
+            raise self._interrupted(interrupt) from None
+        self._check_abort()
+        self._fence_gate("ownership switch")
 
         # 2. Immediate ownership switch: the cold target is authoritative.
-        self.target = self._make_target()
+        self.target = self._make_target(PartialReplicaEngine, source=self.source)
         self.switched_at = self.env.now
         if self.obs is not None:
             self.obs.on_migration_freeze(self, self.switched_at - started_at)
-        if self.on_handover is not None:
-            self.on_handover(self.target)
         # The source stops accepting new work and forwards to the target
         # (which will pull whatever pages it needs back out of the source
         # data files).
-        self.source.stop(successor=self.target)
+        self._hand_over(self.target)
 
         # 3. Background push until every page has moved.
         pushed = yield self.env.process(self._background_pusher(self.target))

@@ -15,20 +15,17 @@ size (which is why the paper abandons them for live migration):
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Generator
 
-from ..db.backup import DEFAULT_CHUNK_BYTES
-from ..db.engine import DatabaseEngine, FreezeMode
-from ..resources.server import Server
+from ..db.engine import FreezeMode
 from ..resources.units import PAGE_SIZE
-from ..simulation import Environment, Interrupt, Process
-from .result import MigrationAborted, MigrationResult
-from .throttle import Throttle
+from ..simulation import Interrupt
+from .result import MigrationEngine, MigrationResult
 
 __all__ = ["StopAndCopyMigration", "DumpReimportMigration"]
 
 
-class StopAndCopyMigration:
+class StopAndCopyMigration(MigrationEngine):
     """File-level stop-and-copy of one tenant to a target server.
 
     Abortable any time before the handover: the rollback thaws the
@@ -38,63 +35,8 @@ class StopAndCopyMigration:
     """
 
     kind = "stop-and-copy"
-
-    def __init__(
-        self,
-        env: Environment,
-        source: DatabaseEngine,
-        target_server: Server,
-        throttle: Optional[Throttle] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
-        fence: Optional[Callable[[], bool]] = None,
-        obs=None,
-    ):
-        if chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
-        self.env = env
-        self.source = source
-        self.target_server = target_server
-        self.throttle = throttle
-        self.chunk_bytes = chunk_bytes
-        self.on_handover = on_handover
-        #: Fencing gate, consulted immediately before the handover.
-        self.fence = fence
-        self.obs = obs
-        #: True from the handover (the point of no return) on.
-        self.handed_over = False
-        self.rolled_back = False
-        self._abort_reason: Optional[str] = None
-        self._process: Optional[Process] = None
-
-    def try_abort(self, reason: str = "cancelled") -> bool:
-        """Request an abort; accepted any time before the handover."""
-        if self.handed_over or self.rolled_back:
-            return False
-        if self._abort_reason is None:
-            self._abort_reason = reason
-        proc = self._process
-        if proc is not None and proc.is_alive and proc is not self.env.active_process:
-            proc.interrupt(reason)
-        return True
-
-    def _abort(self, reason: str) -> MigrationAborted:
-        """Roll back to a serving source; returns the exception to raise."""
-        if self.source.is_frozen:
-            self.source.thaw()
-        self.rolled_back = True
-        return MigrationAborted(reason)
-
-    def _make_target(self) -> DatabaseEngine:
-        return DatabaseEngine(
-            self.env,
-            self.target_server,
-            self.source.layout,
-            name=f"{self.source.name}@{self.target_server.name}",
-            buffer_bytes=self.source.buffer_pool.capacity_pages
-            * self.source.buffer_pool.page_size,
-            costs=self.source.costs,
-        )
+    methods = (kind,)
+    full_speed = True
 
     def _ship_chunk(self, size: int, stream: str) -> Generator:
         """Read one chunk on the source, wire it over, write it down."""
@@ -120,26 +62,19 @@ class StopAndCopyMigration:
                     yield from self._ship_chunk(size, stream)
                     copied += size
         except Interrupt as interrupt:
-            self._abort_reason = self._abort_reason or str(
-                interrupt.cause or "interrupted"
-            )
-        if self._abort_reason is not None:
-            raise self._abort(self._abort_reason)
-        if self.fence is not None and not self.fence():
-            raise self._abort("fencing check failed at handover")
+            raise self._interrupted(interrupt) from None
+        self._check_abort()
+        self._fence_gate("handover")
 
-        target = self._make_target()
+        self.target = target = self._make_target()
         # The copied files are already current: no writes ran since the
         # freeze, so the target starts at the source's exact LSN.
         target.replicated_lsn = self.source.binlog.head_lsn
         target.data_version = self.source.data_version
-        self.handed_over = True
         duration = self.env.now - started_at
         if self.obs is not None:
             self.obs.on_migration_freeze(self, duration)
-        if self.on_handover is not None:
-            self.on_handover(target)
-        self.source.stop(successor=target)
+        self._hand_over(target)
         # The tenant is down for the entire copy: downtime == duration.
         return MigrationResult(
             kind=self.kind,
@@ -160,6 +95,7 @@ class DumpReimportMigration(StopAndCopyMigration):
     """
 
     kind = "dump-reimport"
+    methods = (kind,)
 
     #: Rows re-inserted per batched import statement.
     import_batch_rows = 64

@@ -51,7 +51,7 @@ def run_on_demand(env, engine, dst, handle, push_rate_mb=None, warmup=5.0):
         else None
     )
     migration = OnDemandMigration(
-        env, engine, dst, push_throttle=throttle,
+        env, engine, dst, throttle=throttle,
         on_handover=lambda t: setattr(handle, "engine", t),
     )
 
