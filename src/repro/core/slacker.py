@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..experiments.harness import attach_workload
-from ..middleware.cluster import SlackerCluster
-from ..middleware.node import NodeConfig
+from ..experiments.harness import _build_cluster, attach_workload
 from ..analysis.report import Table, format_ms
 from ..middleware.tenant import Tenant
 from ..migration.result import MigrationResult
-from ..simulation import Environment, RandomStreams, Series, Trace
+from ..simulation import RandomStreams, Series, Trace
 from ..workload.client import BenchmarkClient
 from .config import EVALUATION, ExperimentConfig
 
@@ -44,19 +42,9 @@ class Slacker:
             self.config = self.config.with_seed(seed)
         node_names = nodes or ["server-1", "server-2"]
         self.streams = RandomStreams(self.config.seed)
-        self.env = Environment()
+        self.cluster = _build_cluster(self.config, self.streams, nodes=node_names)
+        self.env = self.cluster.env
         self.trace = Trace()
-        self.cluster = SlackerCluster(
-            self.env,
-            node_names,
-            server_params=self.config.server,
-            node_config=NodeConfig(
-                buffer_bytes=self.config.tenant.buffer_bytes,
-                max_migration_rate=self.config.max_migration_rate,
-                chunk_bytes=self.config.chunk_bytes,
-            ),
-            streams=self.streams,
-        )
         self._clients: dict[int, BenchmarkClient] = {}
         self._arrivals: dict[int, object] = {}
 

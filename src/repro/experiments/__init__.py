@@ -19,7 +19,6 @@ _EXPORTS = MappingProxyType(
         "REGISTRY": ".registry",
         "TenantOutcome": ".harness",
         "attach_workload": ".harness",
-        "run_multi_tenant": ".harness",
         "run_single_tenant": ".harness",
         "scaled_config": ".common",
     }

@@ -36,12 +36,10 @@ from ..migration.fluid import FluidMigration
 from ..migration.throttle import Throttle
 from ..parallel import ResultCache, SweepPoint, SweepRunner
 from ..resources.units import MB, mb_per_sec, to_millis
-from ..simulation import Environment, RandomStreams, Trace
-from ..workload.client import BenchmarkClient, ClosedBenchmarkClient
-from ..middleware.cluster import SlackerCluster
-from ..middleware.node import NodeConfig
+from ..simulation import RandomStreams, Trace
+from ..workload.client import ClosedBenchmarkClient
 from .common import scaled_config
-from .harness import MigrationSpec, attach_workload, run_single_tenant
+from .harness import MigrationSpec, _build_cluster, attach_workload, run_single_tenant
 
 __all__ = [
     "PidFormResult",
@@ -77,18 +75,8 @@ def _controlled_migration(
     series, and the migration result.
     """
     streams = RandomStreams(config.seed)
-    env = Environment()
-    cluster = SlackerCluster(
-        env,
-        ["source", "target"],
-        server_params=config.server,
-        node_config=NodeConfig(
-            buffer_bytes=config.tenant.buffer_bytes,
-            max_migration_rate=config.max_migration_rate,
-            chunk_bytes=config.chunk_bytes,
-        ),
-        streams=streams,
-    )
+    cluster = _build_cluster(config, streams)
+    env = cluster.env
     trace = Trace()
     source = cluster.node("source")
     tenant = source.create_tenant(1, config.tenant.data_bytes)
@@ -258,17 +246,8 @@ def window_size_point(
     """Worker task: controller stability at one sliding-window size."""
     setpoint = spec.setpoint
     streams = RandomStreams(config.seed)
-    env = Environment()
-    cluster = SlackerCluster(
-        env, ["source", "target"], server_params=config.server,
-        node_config=NodeConfig(
-            buffer_bytes=config.tenant.buffer_bytes,
-            max_migration_rate=config.max_migration_rate,
-            chunk_bytes=config.chunk_bytes,
-            window=window,
-        ),
-        streams=streams,
-    )
+    cluster = _build_cluster(config, streams, window=window)
+    env = cluster.env
     trace = Trace()
     source = cluster.node("source")
     tenant = source.create_tenant(1, config.tenant.data_bytes)
@@ -369,16 +348,8 @@ def _closed_generator_point(config: ExperimentConfig, spec: MigrationSpec):
     from ..workload.generator import TransactionFactory
 
     streams = RandomStreams(config.seed)
-    env = Environment()
-    cluster = SlackerCluster(
-        env, ["source", "target"], server_params=config.server,
-        node_config=NodeConfig(
-            buffer_bytes=config.tenant.buffer_bytes,
-            max_migration_rate=config.max_migration_rate,
-            chunk_bytes=config.chunk_bytes,
-        ),
-        streams=streams,
-    )
+    cluster = _build_cluster(config, streams)
+    env = cluster.env
     trace = Trace()
     source = cluster.node("source")
     tenant = source.create_tenant(1, config.tenant.data_bytes)

@@ -26,12 +26,10 @@ from typing import Optional
 
 from ..analysis.report import Table, format_ms, format_rate
 from ..core.config import EVALUATION, ExperimentConfig
-from ..middleware.cluster import SlackerCluster
-from ..middleware.node import NodeConfig
 from ..parallel import SweepPoint, SweepRunner
-from ..simulation import Environment, RandomStreams, Trace, float_sum
+from ..simulation import RandomStreams, Trace, float_sum
 from .common import scaled_config
-from .harness import attach_workload
+from .harness import _build_cluster, attach_workload
 
 __all__ = ["SourceTargetResult", "variant_point", "run", "main"]
 
@@ -84,19 +82,8 @@ def _run_variant(
     config: ExperimentConfig, setpoint: float, both_ends: bool, warmup: float
 ) -> SourceTargetResult:
     streams = RandomStreams(config.seed)
-    env = Environment()
-    cluster = SlackerCluster(
-        env,
-        ["source", "target"],
-        server_params=config.server,
-        node_config=NodeConfig(
-            buffer_bytes=config.tenant.buffer_bytes,
-            max_migration_rate=config.max_migration_rate,
-            chunk_bytes=config.chunk_bytes,
-            throttle_both_ends=both_ends,
-        ),
-        streams=streams,
-    )
+    cluster = _build_cluster(config, streams, throttle_both_ends=both_ends)
+    env = cluster.env
     trace = Trace()
     source = cluster.node("source")
     target = cluster.node("target")

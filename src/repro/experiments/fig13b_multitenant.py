@@ -23,7 +23,7 @@ from typing import Optional
 from ..analysis.report import Table, format_ms, format_rate
 from ..analysis.stats import summarize
 from ..core.config import EVALUATION, ExperimentConfig
-from ..parallel import MULTI_TENANT, SweepPoint, SweepRunner
+from ..parallel import SweepPoint, SweepRunner
 from .common import scaled_config
 from .harness import ExperimentOutcome, MigrationSpec
 
@@ -104,7 +104,6 @@ def run(
             label=label,
             config=cfg,
             spec=spec,
-            task=MULTI_TENANT,
             kwargs={"num_tenants": num_tenants, "warmup": warmup},
         )
 

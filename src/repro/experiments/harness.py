@@ -7,15 +7,17 @@ the measurements every figure needs: the latency time series, the
 throttle time series (for dynamic runs), and the migration result.
 
 All figure drivers and benchmark targets call :func:`run_single_tenant`
-or :func:`run_multi_tenant` with an :class:`ExperimentConfig` preset
-(:data:`~repro.core.config.CASE_STUDY` or
+(``num_tenants`` > 1 for Figure 13b) with an :class:`ExperimentConfig`
+preset (:data:`~repro.core.config.CASE_STUDY` or
 :data:`~repro.core.config.EVALUATION`) plus a :class:`MigrationSpec`.
+Every driver that builds its own cluster builds it with
+:func:`_build_cluster`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.config import ExperimentConfig
@@ -45,7 +47,6 @@ __all__ = [
     "ExperimentOutcome",
     "PooledLatencyStats",
     "run_single_tenant",
-    "run_multi_tenant",
 ]
 
 
@@ -223,7 +224,6 @@ class ExperimentOutcome(PooledLatencyStats):
     #: Throttle-rate series recorded by the PID loop (dynamic runs).
     throttle_series: Optional[Series] = None
     controller_latency_series: Optional[Series] = None
-    extras: dict = field(default_factory=dict)
     #: Metrics/span snapshot when the run was observed (``observe=True``).
     run_report: Optional[RunReport] = None
     #: Simulated time when the run ended (after the cooldown).
@@ -251,17 +251,23 @@ def _build_cluster(
     config: ExperimentConfig,
     streams: RandomStreams,
     lease_ttl=None,
+    nodes: Sequence[str] = ("source", "target"),
+    **node_options,
 ) -> SlackerCluster:
-    env = Environment()
+    """A fresh cluster whose nodes take their defaults from ``config``.
+
+    ``node_options`` sets any other :class:`NodeConfig` field.
+    """
     node_config = NodeConfig(
         buffer_bytes=config.tenant.buffer_bytes,
         max_migration_rate=config.max_migration_rate,
         chunk_bytes=config.chunk_bytes,
         gains=config.gains,
+        **node_options,
     )
     return SlackerCluster(
-        env,
-        ["source", "target"],
+        Environment(),
+        list(nodes),
         server_params=config.server,
         node_config=node_config,
         streams=streams,
@@ -340,134 +346,40 @@ def run_single_tenant(
     on_setup: Optional[Callable] = None,
     observe: bool = False,
     obs_trace_path: Optional[str] = None,
+    num_tenants: int = 1,
+    migrate_tenant_id: int = 1,
+    per_tenant_rate: Optional[Sequence[float]] = None,
 ) -> ExperimentOutcome:
-    """Run the paper's fundamental case: one tenant, one migration.
+    """Run the paper's fundamental case: tenants on one server, one migrates.
 
     * ``warmup`` seconds of workload run before the measurement window
       opens (cache warm-up, steady state).
     * For ``spec.kind == "none"`` the window is ``baseline_duration``
       seconds of plain workload (Figure 5a).
-    * Otherwise the window spans the migration.
-    * ``rate_change`` applies a mid-window arrival-rate change
-      (Figure 13a).
-    * ``on_setup(cluster, tenant, client)`` allows tests to customize.
+    * Otherwise the window spans the migration of ``migrate_tenant_id``.
+    * ``rate_change`` applies a mid-window arrival-rate change to every
+      tenant (Figure 13a).
+    * ``on_setup(cluster, tenant, client)`` allows tests to customize;
+      it gets the migrating tenant.
     * ``observe`` attaches an :class:`~repro.obs.Observability` runtime
       and fills ``outcome.run_report``; ``obs_trace_path`` additionally
       writes the span trace as JSONL.  Observation is read-only, so the
       measured trajectories are bit-identical either way.
-    """
-    streams = RandomStreams(config.seed)
-    cluster = _build_cluster(config, streams)
-    env = cluster.env
-    trace = Trace()
-    obs = Observability(env).attach(cluster) if observe else None
-
-    source = cluster.node("source")
-    tenant = source.create_tenant(
-        1, config.tenant.data_bytes, buffer_bytes=config.tenant.buffer_bytes
-    )
-    client, arrivals = attach_workload(
-        cluster, config, tenant, streams, trace, series="tenant-1"
-    )
-    client.start()
-    source.attach_latency_series(1, trace.series("tenant-1"))
-    if on_setup is not None:
-        on_setup(cluster, tenant, client)
-
-    outcome_extras: dict = {}
-
-    def experiment():
-        yield env.timeout(warmup)
-        window_start = env.now
-        change_proc = None
-        if rate_change is not None:
-
-            def change():
-                yield env.timeout(rate_change.at)
-                arrivals.scale_rate(rate_change.factor)
-
-            change_proc = env.process(change())
-
-        migration_result = None
-        if spec.kind == "none":
-            yield env.timeout(baseline_duration)
-        else:
-            migration_result = yield env.process(
-                _run_migration_spec(cluster, spec, 1)
-            )
-        window_end = env.now
-        if cooldown > 0:
-            yield env.timeout(cooldown)
-        if change_proc is not None and change_proc.is_alive:
-            change_proc.interrupt("run over")
-        return window_start, window_end, migration_result
-
-    proc = env.process(experiment())
-    window_start, window_end, migration_result = env.run(until=proc)
-    client.stop()
-
-    throttle_series = None
-    controller_series = None
-    if spec.kind == "dynamic":
-        name = "source:mig-1"
-        if f"{name}:throttle_rate" in source.trace:
-            throttle_series = source.trace[f"{name}:throttle_rate"]
-            controller_series = source.trace[f"{name}:window_latency"]
-
-    run_report = None
-    if obs is not None:
-        if obs_trace_path is not None:
-            obs.finish()
-            obs.tracer.write_jsonl(obs_trace_path)
-        run_report = obs.run_report(config, spec, trace_path=obs_trace_path)
-
-    return ExperimentOutcome(
-        config=config,
-        spec=spec,
-        trace=trace,
-        tenants=[
-            TenantOutcome(
-                tenant_id=1,
-                latency=trace.series("tenant-1"),
-                completed=client.stats.completed,
-            )
-        ],
-        window_start=window_start,
-        window_end=window_end,
-        migration=migration_result,
-        throttle_series=throttle_series,
-        controller_latency_series=controller_series,
-        extras=outcome_extras,
-        run_report=run_report,
-        sim_end=env.now,
-    )
-
-
-def run_multi_tenant(
-    config: ExperimentConfig,
-    spec: MigrationSpec,
-    num_tenants: int = 5,
-    migrate_tenant_id: int = 1,
-    warmup: float = 20.0,
-    cooldown: float = 5.0,
-    baseline_duration: float = 120.0,
-    per_tenant_rate: Optional[Sequence[float]] = None,
-    observe: bool = False,
-    obs_trace_path: Optional[str] = None,
-) -> ExperimentOutcome:
-    """The Figure 13b scenario: N tenants, one migrates, all measured.
-
-    The total server workload is split evenly across tenants unless
-    ``per_tenant_rate`` gives explicit rates, matching the paper's
-    "total server workload ... is the same as before".  Every tenant
-    gets a full-size database and dedicated buffer pool (process-level
-    multitenancy); the migration therefore moves the same volume of
-    data as the single-tenant experiments.
+    * ``num_tenants`` > 1 is the Figure 13b scenario.  The total server
+      workload is split evenly across tenants unless ``per_tenant_rate``
+      gives explicit rates, matching the paper's "total server workload
+      ... is the same as before".  Every tenant gets a full-size
+      database and dedicated buffer pool (process-level multitenancy),
+      so the migration moves the same volume of data as with one.
     """
     if num_tenants < 1:
         raise ValueError(f"num_tenants must be >= 1, got {num_tenants}")
     if not 1 <= migrate_tenant_id <= num_tenants:
         raise ValueError(f"migrate_tenant_id {migrate_tenant_id} out of range")
+    if per_tenant_rate is None:
+        per_tenant_rate = [config.workload.arrival_rate / num_tenants] * num_tenants
+    if len(per_tenant_rate) != num_tenants:
+        raise ValueError("per_tenant_rate length must equal num_tenants")
     streams = RandomStreams(config.seed)
     cluster = _build_cluster(config, streams)
     env = cluster.env
@@ -475,17 +387,10 @@ def run_multi_tenant(
     obs = Observability(env).attach(cluster) if observe else None
     source = cluster.node("source")
 
-    if per_tenant_rate is None:
-        per_tenant_rate = [
-            config.workload.arrival_rate / num_tenants for _ in range(num_tenants)
-        ]
-    if len(per_tenant_rate) != num_tenants:
-        raise ValueError("per_tenant_rate length must equal num_tenants")
-
     # Server-level burst causes are correlated across collocated
-    # tenants, so all five workloads share one burst modulator.
+    # tenants, so their workloads share one burst modulator.
     modulator = None
-    if config.workload.burst_factor > 1.0:
+    if num_tenants > 1 and config.workload.burst_factor > 1.0:
         modulator = BurstModulator(
             env,
             streams.stream("shared-bursts"),
@@ -493,13 +398,14 @@ def run_multi_tenant(
             mean_burst=config.workload.burst_mean_burst,
         )
     clients = []
+    arrivals = []
     for tenant_id in range(1, num_tenants + 1):
         tenant = source.create_tenant(
             tenant_id,
             config.tenant.data_bytes,
             buffer_bytes=config.tenant.buffer_bytes,
         )
-        client, _ = attach_workload(
+        client, tenant_arrivals = attach_workload(
             cluster,
             config,
             tenant,
@@ -512,10 +418,27 @@ def run_multi_tenant(
         client.start()
         source.attach_latency_series(tenant_id, trace.series(f"tenant-{tenant_id}"))
         clients.append(client)
+        arrivals.append(tenant_arrivals)
+    if on_setup is not None:
+        on_setup(
+            cluster,
+            source.registry.get(migrate_tenant_id),
+            clients[migrate_tenant_id - 1],
+        )
 
     def experiment():
         yield env.timeout(warmup)
         window_start = env.now
+        change_proc = None
+        if rate_change is not None:
+
+            def change():
+                yield env.timeout(rate_change.at)
+                for tenant_arrivals in arrivals:
+                    tenant_arrivals.scale_rate(rate_change.factor)
+
+            change_proc = env.process(change())
+
         migration_result = None
         if spec.kind == "none":
             yield env.timeout(baseline_duration)
@@ -526,6 +449,8 @@ def run_multi_tenant(
         window_end = env.now
         if cooldown > 0:
             yield env.timeout(cooldown)
+        if change_proc is not None and change_proc.is_alive:
+            change_proc.interrupt("run over")
         return window_start, window_end, migration_result
 
     proc = env.process(experiment())
@@ -556,9 +481,9 @@ def run_multi_tenant(
             TenantOutcome(
                 tenant_id=tenant_id,
                 latency=trace.series(f"tenant-{tenant_id}"),
-                completed=clients[tenant_id - 1].stats.completed,
+                completed=client.stats.completed,
             )
-            for tenant_id in range(1, num_tenants + 1)
+            for tenant_id, client in enumerate(clients, start=1)
         ],
         window_start=window_start,
         window_end=window_end,

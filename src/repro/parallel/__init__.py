@@ -19,7 +19,6 @@ from .. import _lazy_exports
 #: Public name -> the submodule that defines it.
 _EXPORTS = MappingProxyType(
     {
-        "MULTI_TENANT": ".tasks",
         "PointRecord": ".record",
         "ResultCache": ".cache",
         "SINGLE_TENANT": ".tasks",

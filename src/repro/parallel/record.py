@@ -18,7 +18,7 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..experiments.harness import ExperimentOutcome, MigrationSpec, PooledLatencyStats
@@ -55,8 +55,6 @@ class PointRecord(PooledLatencyStats):
     migration: Optional[MigrationResult] = None
     throttle_series: Optional[Series] = None
     controller_latency_series: Optional[Series] = None
-    #: Task-specific extra measurements (small picklable values only).
-    extras: dict = field(default_factory=dict)
     #: Observability snapshot (plain dicts/tuples, pickles compactly)
     #: when the point ran with ``observe=True``.
     run_report: Optional[RunReport] = None
@@ -88,7 +86,6 @@ class PointRecord(PooledLatencyStats):
             ),
             throttle_series=outcome.throttle_series,
             controller_latency_series=outcome.controller_latency_series,
-            extras=dict(outcome.extras),
             run_report=outcome.run_report,
             sim_end=outcome.sim_end,
         )

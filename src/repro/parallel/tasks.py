@@ -13,8 +13,8 @@ pickle trivially and the worker process resolves the function against
 * it returns a compact picklable record, normally a
   :class:`~repro.parallel.record.PointRecord`.
 
-The two tasks here wrap the shared experiment harness; experiment
-modules may register their own (see ``repro.experiments.ablations``).
+The task here wraps the shared experiment harness; experiment modules
+may register their own (see ``repro.experiments.ablations``).
 """
 
 from __future__ import annotations
@@ -23,26 +23,18 @@ from importlib import import_module
 from typing import Callable, Optional
 
 from ..core.config import ExperimentConfig
-from ..experiments.harness import (
-    MigrationSpec,
-    run_multi_tenant,
-    run_single_tenant,
-)
+from ..experiments.harness import MigrationSpec, run_single_tenant
 from .record import PointRecord
 
 __all__ = [
     "SINGLE_TENANT",
-    "MULTI_TENANT",
     "resolve_task",
     "single_tenant_point",
-    "multi_tenant_point",
     "execute_batch",
 ]
 
 #: Task path of :func:`single_tenant_point` (the default for sweeps).
 SINGLE_TENANT = "repro.parallel.tasks:single_tenant_point"
-#: Task path of :func:`multi_tenant_point`.
-MULTI_TENANT = "repro.parallel.tasks:multi_tenant_point"
 
 
 def resolve_task(path: str) -> Callable:
@@ -59,15 +51,8 @@ def resolve_task(path: str) -> Callable:
 def single_tenant_point(
     config: ExperimentConfig, spec: MigrationSpec, **kwargs
 ) -> PointRecord:
-    """One single-tenant run (the paper's fundamental case), as a record."""
+    """One harness run (the paper's fundamental case), as a record."""
     return PointRecord.from_outcome(run_single_tenant(config, spec, **kwargs))
-
-
-def multi_tenant_point(
-    config: ExperimentConfig, spec: MigrationSpec, **kwargs
-) -> PointRecord:
-    """One multi-tenant run (the Figure 13b scenario), as a record."""
-    return PointRecord.from_outcome(run_multi_tenant(config, spec, **kwargs))
 
 
 def execute(

@@ -1,12 +1,15 @@
 """Tests for the experiment harness and the Slacker facade."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.control.pid import PidGains
 from repro.core import EVALUATION, Slacker
+from repro.experiments import ext_source_target, harness
 from repro.experiments import (
     MigrationSpec,
     RateChange,
-    run_multi_tenant,
     run_single_tenant,
     scaled_config,
 )
@@ -112,16 +115,16 @@ class TestSingleTenantHarness:
 class TestMultiTenantHarness:
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_multi_tenant(TINY, MigrationSpec.none(), num_tenants=0)
+            run_single_tenant(TINY, MigrationSpec.none(), num_tenants=0)
         with pytest.raises(ValueError):
-            run_multi_tenant(TINY, MigrationSpec.none(), migrate_tenant_id=9,
-                             num_tenants=3)
+            run_single_tenant(TINY, MigrationSpec.none(), migrate_tenant_id=9,
+                              num_tenants=3)
         with pytest.raises(ValueError):
-            run_multi_tenant(TINY, MigrationSpec.none(), num_tenants=2,
-                             per_tenant_rate=[1.0])
+            run_single_tenant(TINY, MigrationSpec.none(), num_tenants=2,
+                              per_tenant_rate=[1.0])
 
     def test_three_tenants_one_migrates(self):
-        outcome = run_multi_tenant(
+        outcome = run_single_tenant(
             TINY, MigrationSpec.fixed(mb_per_sec(8)), num_tenants=3,
             warmup=5,
         )
@@ -131,7 +134,7 @@ class TestMultiTenantHarness:
             assert tenant.completed > 0
 
     def test_pooled_latencies_cover_all_tenants(self):
-        outcome = run_multi_tenant(
+        outcome = run_single_tenant(
             TINY, MigrationSpec.none(), num_tenants=2, warmup=2,
             baseline_duration=15,
         )
@@ -198,3 +201,29 @@ class TestSlackerFacade:
     def test_node_names(self):
         slacker = Slacker(TINY, nodes=["z", "a"])
         assert slacker.node_names() == ["a", "z"]
+
+
+class TestConfigGains:
+    """Every cluster a driver builds takes its PID gains from the config."""
+
+    GAINS = PidGains(kp=0.05, ki=0.01, kd=0.2)
+
+    def test_facade_nodes_carry_config_gains(self):
+        slacker = Slacker(replace(TINY, gains=self.GAINS), nodes=["a", "b"])
+        for node in slacker.cluster.nodes.values():
+            assert node.config.gains == self.GAINS
+
+    def test_ext_source_target_nodes_carry_config_gains(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(harness._build_cluster(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ext_source_target, "_build_cluster", spy)
+        ext_source_target._run_variant(
+            replace(TINY, gains=self.GAINS), setpoint=1.0, both_ends=True, warmup=1.0
+        )
+        [cluster] = built
+        for node in cluster.nodes.values():
+            assert node.config.gains == self.GAINS
