@@ -15,20 +15,7 @@ import inspect
 import sys
 import time
 
-from .experiments import REGISTRY
-
-#: One-line description per experiment id.
-DESCRIPTIONS = {
-    "fig5": "latency under fixed throttles (case study, Figures 5a-5d)",
-    "fig6": "slack exceeded: 16 MB/s overload divergence (Figure 6)",
-    "fig7": "migration speed vs. performance tradeoff (Figure 7)",
-    "fig11": "fixed vs. Slacker sweeps: knee, plateau, tracking (Figure 11)",
-    "fig12": "throttle/latency time series at 1000 ms setpoint (Figure 12)",
-    "fig13a": "+40% workload surge mid-migration (Figure 13a)",
-    "fig13b": "migrating 1 of 5 collocated tenants (Figure 13b)",
-    "stop-and-copy": "downtime vs. database size (Section 2.3.1)",
-    "ext-source-target": "max(source, target) throttling (Section 6)",
-}
+from .experiments.registry import EXPERIMENTS, REGISTRY
 
 
 def _walltime() -> float:
@@ -51,9 +38,9 @@ def _render(experiment_id: str, result) -> str:
 
 
 def cmd_list() -> int:
-    width = max(len(eid) for eid in REGISTRY)
-    for eid in REGISTRY:
-        print(f"  {eid.ljust(width)}  {DESCRIPTIONS.get(eid, '')}")
+    width = max(len(eid) for eid in EXPERIMENTS)
+    for eid, (_, description) in EXPERIMENTS.items():
+        print(f"  {eid.ljust(width)}  {description}")
     return 0
 
 
@@ -93,14 +80,14 @@ def cmd_run(
             module = REGISTRY[eid]
             started = _walltime()
             kwargs = {}
+            parameters = inspect.signature(module.run).parameters
             # stop-and-copy sweeps sizes rather than scaling one tenant
-            if eid != "stop-and-copy":
+            if "scale" in parameters:
                 kwargs["scale"] = scale
             if seed is not None:
                 kwargs["seed"] = seed
             if config is not None:
                 kwargs["config"] = config
-            parameters = inspect.signature(module.run).parameters
             if jobs != 1 and "jobs" in parameters:
                 kwargs["jobs"] = jobs
             if pool is not None and "pool" in parameters:

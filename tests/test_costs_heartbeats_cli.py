@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.__main__ import DESCRIPTIONS, main
+from repro.__main__ import main
 from repro.core import EVALUATION, LatencySla, Slacker
 from repro.core.sla import SlaMonitor
 from repro.experiments import REGISTRY, scaled_config
+from repro.experiments.registry import EXPERIMENTS
 from repro.middleware.protocol import Heartbeat
 from repro.placement import CostEstimate, CostParameters, MigrationCostBenefit
 from repro.resources.units import GB, MB, mb_per_sec
@@ -212,7 +213,8 @@ class TestCli:
             assert eid in out
 
     def test_descriptions_cover_registry(self):
-        assert set(DESCRIPTIONS) == set(REGISTRY)
+        assert set(EXPERIMENTS) == set(REGISTRY)
+        assert all(description for _, description in EXPERIMENTS.values())
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["run", "fig99"]) == 2

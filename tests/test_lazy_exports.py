@@ -68,6 +68,25 @@ def test_task_module_imports_only_what_a_point_runs():
     assert experiments == {"repro.experiments.harness"}
 
 
+def test_cli_list_imports_no_driver():
+    """``python -m repro list`` prints every id from one table alone."""
+    loaded = fresh_modules("from repro.__main__ import cmd_list\ncmd_list()")
+    assert sorted(m for m in loaded if m.startswith("repro")) == [
+        "repro",
+        "repro.__main__",
+        "repro.experiments",
+        "repro.experiments.registry",
+    ]
+
+
+def test_registry_imports_a_driver_on_lookup():
+    loaded = fresh_modules(
+        "from repro.experiments import REGISTRY\nREGISTRY['fig6'].run"
+    )
+    drivers = {m for m in loaded if m.startswith("repro.experiments.fig")}
+    assert drivers == {"repro.experiments.fig6_overload"}
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_star_import_resolves_every_export_cold(package):
     """From a cold start, ``import *`` binds every name in ``__all__``."""
