@@ -1,9 +1,14 @@
 """Migration engines, throttle, slack model and the PID throttle loop.
 
-Live and fluid migration are one chunked pipeline
-(:class:`FluidMigration`), which also moves a tenant out of a
-shared-process daemon; stop-and-copy, dump-reimport and on-demand are
-the baselines."""
+Every engine is a :class:`MigrationEngine` (``result.py``), which holds
+what they share: the constructor hooks, the target builder, the fence
+gate, the handover step and the abort contract.  ``try_abort`` is
+accepted until the engine's point of no return (``_past_no_return``)
+and interrupts the run, which rolls back to a serving source and
+raises :class:`MigrationAborted`; past it, aborts are refused.  Live
+and fluid migration are one chunked pipeline (:class:`FluidMigration`),
+which also moves a tenant out of a shared-process daemon;
+stop-and-copy, dump-reimport and on-demand are the baselines."""
 
 from types import MappingProxyType
 
@@ -27,6 +32,7 @@ _EXPORTS = MappingProxyType(
         "LeaseManager": ".lease",
         "LeaseService": ".lease",
         "MigrationAborted": ".result",
+        "MigrationEngine": ".result",
         "MigrationPhase": ".fluid",
         "MigrationResult": ".result",
         "OnDemandMigration": ".on_demand",
