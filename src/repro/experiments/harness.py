@@ -323,19 +323,6 @@ def attach_workload(
     return client, arrivals
 
 
-def _run_migration_spec(cluster, spec: MigrationSpec, tenant_id: int):
-    """Process: run the configured migration through the source node."""
-    return cluster.node("source").migrate_tenant(
-        tenant_id,
-        "target",
-        setpoint=spec.setpoint,
-        fixed_rate=spec.rate,
-        max_rate=spec.max_rate,
-        chunks=spec.chunks or None,
-        method=spec.method,
-    )
-
-
 def run_single_tenant(
     config: ExperimentConfig,
     spec: MigrationSpec,
@@ -397,8 +384,7 @@ def run_single_tenant(
             mean_normal=config.workload.burst_mean_normal,
             mean_burst=config.workload.burst_mean_burst,
         )
-    clients = []
-    arrivals = []
+    tenants, clients, arrivals = [], [], []
     for tenant_id in range(1, num_tenants + 1):
         tenant = source.create_tenant(
             tenant_id,
@@ -417,14 +403,12 @@ def run_single_tenant(
         )
         client.start()
         source.attach_latency_series(tenant_id, trace.series(f"tenant-{tenant_id}"))
+        tenants.append(tenant)
         clients.append(client)
         arrivals.append(tenant_arrivals)
     if on_setup is not None:
-        on_setup(
-            cluster,
-            source.registry.get(migrate_tenant_id),
-            clients[migrate_tenant_id - 1],
-        )
+        index = migrate_tenant_id - 1
+        on_setup(cluster, tenants[index], clients[index])
 
     def experiment():
         yield env.timeout(warmup)
@@ -444,7 +428,15 @@ def run_single_tenant(
             yield env.timeout(baseline_duration)
         else:
             migration_result = yield env.process(
-                _run_migration_spec(cluster, spec, migrate_tenant_id)
+                source.migrate_tenant(
+                    migrate_tenant_id,
+                    "target",
+                    setpoint=spec.setpoint,
+                    fixed_rate=spec.rate,
+                    max_rate=spec.max_rate,
+                    chunks=spec.chunks or None,
+                    method=spec.method,
+                )
             )
         window_end = env.now
         if cooldown > 0:
