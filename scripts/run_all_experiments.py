@@ -95,10 +95,11 @@ def main() -> None:
         for experiment_id in ids:
             module = REGISTRY[experiment_id]
             started = _walltime()
-            kwargs = {} if experiment_id == "stop-and-copy" else {"scale": args.scale}
-            # Only sweep drivers accept jobs/cache/pool; pass them where
-            # supported.
+            # Pass each option only to the drivers that take it: only
+            # sweep drivers accept jobs/cache/pool, and stop-and-copy
+            # sweeps sizes rather than scaling one tenant.
             parameters = inspect.signature(module.run).parameters
+            kwargs = {"scale": args.scale} if "scale" in parameters else {}
             if "jobs" in parameters:
                 kwargs["jobs"] = args.jobs
             if "cache" in parameters:
